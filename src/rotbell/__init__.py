@@ -51,6 +51,7 @@ from .states import (
     random_pure_state,
     render_ket,
     sample_k_separable,
+    sample_product_terms,
     state_from_json,
     state_to_json,
     tensor_product,
@@ -109,6 +110,7 @@ __all__ = [
     "render_ket",
     "sample_k_separable",
     "sample_partition",
+    "sample_product_terms",
     "state_from_json",
     "state_to_json",
     "stirling_second",

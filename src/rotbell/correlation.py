@@ -134,12 +134,6 @@ def _sign_matrix(n):
     return signs
 
 
-def _as_profile(state):
-    if isinstance(state, AntidiagonalProfile):
-        return state
-    return antidiagonal_profile(state)
-
-
 def _check_angles(angles, n):
     a = np.asarray(angles, dtype=float).reshape(-1)
     if a.size != n:
@@ -153,8 +147,11 @@ def antidiagonal_profile(state):
     """Extract the antidiagonal profile of a pure or mixed state.
 
     For a pure state the element at k is ``psi[0 k] * conj(psi[1 ~k])``,
-    computed in O(2^N) without ever materializing the density matrix.
+    computed in O(2^N) without ever materializing the density matrix.  A
+    profile is returned unchanged, so every function below accepts one.
     """
+    if isinstance(state, AntidiagonalProfile):
+        return state
     if isinstance(state, PureState):
         psi = state.amplitudes
         half = state.dim // 2
@@ -164,7 +161,7 @@ def antidiagonal_profile(state):
         half = state.dim // 2
         vals = np.fliplr(state.matrix).diagonal()[:half]
         return AntidiagonalProfile(state.n_qubits, vals)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    raise TypeError(f"expected a state or an AntidiagonalProfile, got {type(state).__name__}")
 
 
 def correlation_value(state, angles):
@@ -172,7 +169,7 @@ def correlation_value(state, angles):
 
     ``state`` may be a PureState, DensityMatrix, or AntidiagonalProfile.
     """
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     a = _check_angles(angles, prof.n_qubits)
     phi = _sign_matrix(prof.n_qubits) @ a
     return float(2.0 * np.real(np.sum(prof.values * np.exp(1j * phi))))
@@ -219,7 +216,7 @@ def correlation_tensor(state):
     i_j = y.  Computed in O(N 2^N) through a Walsh-Hadamard transform of the
     antidiagonal profile rather than 2^N separate corner evaluations.
     """
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     n = prof.n_qubits
     half = 1 << (n - 1)
     w = _walsh_hadamard(prof.values)
@@ -251,7 +248,7 @@ def e_max(state):
     Always an upper bound; attained for N <= 2 and for product-structured
     profiles (see the module docstring for the generic N >= 3 caveat).
     """
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     return float(2.0 * np.sum(np.abs(prof.values)))
 
 
@@ -263,7 +260,7 @@ def optimal_angles_two_qubit(state):
     alpha_1 = -(Phi_0 + Phi_1)/2, alpha_2 = -(Phi_0 - Phi_1)/2: it aligns both
     phases phi_k = -Phi_k so both cosines hit +1 simultaneously.
     """
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     if prof.n_qubits != 2:
         raise ValueError(f"defined for exactly 2 qubits, got {prof.n_qubits}")
     v0, v1 = prof.values
@@ -276,7 +273,7 @@ def optimal_angles_two_qubit(state):
 
 def norm_squared_antidiagonal(state):
     """||E||^2 = 2 (2 pi)^N sum |rho_ad|^2 over the [0, 2pi)^N angle hypercube."""
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     n = prof.n_qubits
     return float(2.0 * (2.0 * np.pi) ** n * np.sum(np.abs(prof.values) ** 2))
 

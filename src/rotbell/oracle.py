@@ -24,7 +24,6 @@ import numpy as np
 
 from .correlation import (
     AntidiagonalProfile,
-    _as_profile,
     _sign_matrix,
     antidiagonal_profile,
     correlation_tensor,
@@ -129,7 +128,7 @@ def maximize_grid(state, config=None):
     module docstring for when it reaches it.
     """
     cfg = config if config is not None else GridSearchConfig()
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     n = prof.n_qubits
     pts = _fit_points(cfg.points_per_axis, n, cfg.refinement_rounds, cfg.max_evaluations)
 
@@ -162,7 +161,7 @@ def norm_squared_quadrature(state, points_per_axis=8):
     """
     if points_per_axis < 5:
         raise ValueError("points_per_axis must be >= 5 for the rule to be exact")
-    prof = _as_profile(state)
+    prof = antidiagonal_profile(state)
     n = prof.n_qubits
     if points_per_axis**n > 20_000_000:
         raise ValueError(f"quadrature needs {points_per_axis}^{n} points: over the point budget")
@@ -219,6 +218,10 @@ class ValidationReport:
     @property
     def all_ok(self):
         return all(c.passed for c in self.checks)
+
+    def passes(self, attainability_gated):
+        """The pass/fail rule: identities always, attainability only where gated."""
+        return self.identity_ok and (self.attainability_ok or not attainability_gated)
 
     def to_dict(self):
         return {

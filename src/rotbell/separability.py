@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import antidiagonal_profile
+from .correlation import ANTIDIAG_BOUND_TOL, antidiagonal_profile
 from .states import PartitionSpec
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
 # Bell(9) is already 21147 partitions and the count grows super-exponentially;
 # exhaustive enumeration beyond n = 8 is refused in favor of sampling.
 MAX_ENUMERATION_QUBITS = 8
-
-ANTIDIAG_BOUND_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ __all__ = [
     "mix",
     "add_white_noise",
     "sample_k_separable",
+    "sample_product_terms",
     "random_pure_state",
     "random_density_matrix",
     "parse_ket",
@@ -53,6 +54,13 @@ def _dim(n):
     return 1 << n
 
 
+def _check_qubits(n, cap, kind):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"invalid qubit count {n!r}: need a positive integer")
+    if n > cap:
+        raise ValueError(f"n_qubits={n} exceeds the {kind} cap of {cap}")
+
+
 def _frozen(arr):
     arr = np.array(arr)
     arr.setflags(write=False)
@@ -68,10 +76,7 @@ class PureState:
 
     def __post_init__(self):
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"invalid qubit count {n!r}: need a positive integer")
-        if n > MAX_PURE_QUBITS:
-            raise ValueError(f"n_qubits={n} exceeds the pure-state cap of {MAX_PURE_QUBITS}")
+        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != _dim(n):
             raise ValueError(f"amplitude vector has length {amps.size}, expected 2^{n} = {_dim(n)}")
@@ -98,6 +103,7 @@ class PureState:
 
     def to_density(self):
         """Dense projector |psi><psi| (subject to the dense-matrix qubit cap)."""
+        _check_qubits(self.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def __repr__(self):
@@ -113,10 +119,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"invalid qubit count {n!r}: need a positive integer")
-        if n > MAX_DENSE_QUBITS:
-            raise ValueError(f"n_qubits={n} exceeds the dense-matrix cap of {MAX_DENSE_QUBITS}")
+        _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
         d = _dim(n)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (d, d):
@@ -139,6 +142,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n):
+        _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
         return cls(n, np.eye(_dim(n), dtype=complex) / _dim(n))
 
     @property
@@ -230,8 +234,7 @@ class PartitionSpec:
 
 def make_ghz(n):
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"invalid qubit count {n!r}: need a positive integer")
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     amps = np.zeros(_dim(n), dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(int(n), amps)
@@ -334,30 +337,37 @@ def random_density_matrix(n, rng, rank=None):
     return DensityMatrix(n, m / np.trace(m))
 
 
-def sample_k_separable(n, k, n_terms, rng_seed):
-    """Random k-separable density matrix on n qubits.
+def sample_product_terms(n, k, n_terms, rng_seed):
+    """Weighted pure product terms ``[(w, PureState), ...]`` of a random k-separable mixture.
 
-    Draws a convex mixture of ``n_terms`` pure product states.  Each term uses
-    an independently sampled partition of {1..n} with at least k blocks (the
-    block count is uniform on {k..n}, the partition uniform among those with
-    that many blocks) and Haar-random pure block states.  Mixture weights are
-    uniform on the simplex.  Deterministic for a fixed ``rng_seed``.
+    Each of the ``n_terms`` terms uses an independently sampled partition of
+    {1..n} with at least k blocks (the block count is uniform on {k..n}, the
+    partition uniform among those with that many blocks) and Haar-random pure
+    block states.  Weights are uniform on the simplex.  Deterministic for a
+    fixed ``rng_seed``; no 2^n x 2^n matrix is built.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     from .separability import sample_partition  # deferred: separability imports this module
 
     rng = np.random.default_rng(rng_seed)
-    weights = rng.dirichlet(np.ones(n_terms))
-    acc = np.zeros((_dim(n), _dim(n)), dtype=complex)
-    for w in weights:
-        blocks = int(rng.integers(k, n + 1))
-        part = sample_partition(n, blocks, rng)
+    terms = []
+    for w in rng.dirichlet(np.ones(n_terms)):
+        part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
         factors = [random_pure_state(len(b), rng) for b in part.blocks]
-        psi = tensor_product(factors, part).amplitudes
-        acc += w * np.outer(psi, psi.conj())
+        terms.append((float(w), tensor_product(factors, part)))
+    return terms
+
+
+def sample_k_separable(n, k, n_terms, rng_seed):
+    """Random k-separable density matrix: the mixture of :func:`sample_product_terms`."""
+    _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
+    acc = np.zeros((_dim(n), _dim(n)), dtype=complex)
+    for w, term in sample_product_terms(n, k, n_terms, rng_seed):
+        acc += w * np.outer(term.amplitudes, term.amplitudes.conj())
     return DensityMatrix(n, acc)
 
 
@@ -458,6 +468,7 @@ def parse_ket_info(expression):
     if expect_term:
         raise ValueError(f"ket syntax error at position {len(text)}: dangling sign")
     n = len(terms[0][2])
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     amps = np.zeros(_dim(n), dtype=complex)
     for s, coef, bits in terms:
         if len(bits) != n:
@@ -516,27 +527,25 @@ def state_to_json(state):
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
+_JSON_KINDS = {"pure": ("amplitudes", 2, PureState), "density": ("matrix", 3, DensityMatrix)}
+
+
 def state_from_json(obj):
-    """Inverse of :func:`state_to_json`; validates all state invariants."""
+    """Inverse of :func:`state_to_json`; validates all state invariants and rejects extra keys."""
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object")
-    try:
-        n = int(obj["n"])
-        kind = obj["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"state JSON missing/invalid field: {exc}") from exc
-    if kind == "pure":
-        if "amplitudes" not in obj:
-            raise ValueError('pure state JSON needs an "amplitudes" array')
-        pairs = np.asarray(obj["amplitudes"], dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("amplitudes must be an array of [re, im] pairs")
-        return PureState(n, pairs[:, 0] + 1j * pairs[:, 1])
-    if kind == "density":
-        if "matrix" not in obj:
-            raise ValueError('density state JSON needs a "matrix" array')
-        entries = np.asarray(obj["matrix"], dtype=float)
-        if entries.ndim != 3 or entries.shape[2] != 2:
-            raise ValueError("matrix must be rows of [re, im] pairs")
-        return DensityMatrix(n, entries[..., 0] + 1j * entries[..., 1])
-    raise ValueError(f'unknown state kind {kind!r}: expected "pure" or "density"')
+    n, kind = obj.get("n"), obj.get("kind")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'state JSON needs an integer "n", got {n!r}')
+    if not isinstance(kind, str) or kind not in _JSON_KINDS:
+        raise ValueError(f'unknown state kind {kind!r}: expected "pure" or "density"')
+    payload, ndim, cls = _JSON_KINDS[kind]
+    unknown = sorted(set(obj) - {"n", "kind", payload})
+    if unknown:
+        raise ValueError(f"unknown state JSON field(s) {', '.join(map(repr, unknown))}")
+    if payload not in obj:
+        raise ValueError(f'{kind} state JSON needs a "{payload}" array')
+    pairs = np.asarray(obj[payload], dtype=float)
+    if pairs.ndim != ndim or pairs.shape[-1] != 2:
+        raise ValueError(f"{payload} must be nested arrays of [re, im] pairs")
+    return cls(n, pairs[..., 0] + 1j * pairs[..., 1])

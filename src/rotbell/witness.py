@@ -116,7 +116,7 @@ def critical_visibility(r):
 
 
 def classify(state):
-    """Full witness analysis of a pure or mixed state.
+    """Full witness analysis of a pure or mixed state, or of its antidiagonal profile.
 
     Threshold comparisons are strict and carry no floating-point tolerance;
     the per-rung margins are reported so callers can apply error bars.

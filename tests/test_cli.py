@@ -1,11 +1,24 @@
+import csv
+import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotbell.cli as cli_mod
 import rotbell.oracle as oracle_mod
 from rotbell.cli import main
-from rotbell.states import as_density, parse_ket, state_to_json
+from rotbell.states import (
+    as_density,
+    parse_ket,
+    random_density_matrix,
+    random_pure_state,
+    state_to_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +286,159 @@ def test_verify_detects_sign_mutation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 2
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# every subcommand in every output format
+
+
+def _haar3_file(tmp_path):
+    """Haar-random 3-qubit pure state whose grid maximum falls 0.056 short of e_max."""
+    path = tmp_path / "haar3.json"
+    path.write_text(json.dumps(state_to_json(random_pure_state(3, np.random.default_rng(0)))))
+    return str(path)
+
+
+_MATRIX = {
+    "analyze": ("analyze", "--ket", "|000>+|111>"),
+    "analyze-oracle": ("analyze", "--oracle", "--input", "{haar3}"),
+    "ghz": ("ghz", "--n", "3"),
+    "ghz-oracle": ("ghz", "--n", "3", "--oracle"),
+    "sweep": ("sweep", "--ket", "|000>+|111>", "--steps", "5"),
+    "zoo": ("zoo", "--nmin", "2", "--nmax", "3", "--samples", "2"),
+    "verify": ("verify",),
+}
+
+
+_REAL_FIXTURES = cli_mod._verify_fixtures
+
+
+def _short_battery(seed):
+    # one gated and one ungated fixture keep the verify rows of the matrix fast
+    fixtures = [f for f in _REAL_FIXTURES(seed) if f[0] in {"ghz_3", "random_mixed_3_01"}]
+    assert [gated for _, _, gated in fixtures] == [True, False]
+    return fixtures
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", sorted(_MATRIX))
+def test_every_command_in_every_format(command, fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "_verify_fixtures", _short_battery)
+    argv = [a.format(haar3=_haar3_file(tmp_path)) for a in _MATRIX[command]]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n")
+    if fmt == "json":
+        assert isinstance(json.loads(out), dict)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and all(len(row) > 1 for row in rows)
+
+
+def test_analyze_oracle_reports_gap_without_gating(tmp_path, capsys):
+    path = _haar3_file(tmp_path)
+    code, out, _ = run_cli(capsys, "analyze", "--oracle", "--input", path)
+    assert code == 0
+    assert "[gap reported] -> ok" in out
+    code, out, _ = run_cli(capsys, "analyze", "--oracle", "--input", path, "--format", "csv")
+    assert code == 0
+    row = dict(zip(*list(csv.reader(io.StringIO(out)))[-2:]))
+    assert (row["identity_ok"], row["attainability_gated"], row["attainability_ok"]) == (
+        "true", "false", "false"
+    )
+
+
+def test_ghz_oracle_gates_attainability(capsys):
+    code, out, _ = run_cli(capsys, "ghz", "--n", "3", "--oracle", "--format", "csv")
+    assert code == 0
+    row = dict(zip(*list(csv.reader(io.StringIO(out)))[-2:]))
+    assert (row["attainability_gated"], row["attainability_ok"]) == ("true", "true")
+
+
+# ---------------------------------------------------------------------------
+# resource caps are checked before anything is allocated
+
+_ALLOCATION_LIMIT = 1 << 28  # elements; far above anything these commands legitimately need
+
+
+def _guarded(fn, count):
+    def wrapper(*args, **kwargs):
+        size = count(*args, **kwargs)
+        if size > _ALLOCATION_LIMIT:
+            raise AssertionError(f"numpy.{fn.__name__} asked for {size} elements")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture
+def no_huge_arrays(monkeypatch):
+    """Make numpy refuse oversized requests instead of trying to allocate them."""
+    monkeypatch.setattr(np, "zeros", _guarded(
+        np.zeros, lambda shape, *a, **k: math.prod(np.atleast_1d(shape).tolist())))
+    monkeypatch.setattr(np, "eye", _guarded(
+        np.eye, lambda rows, cols=None, *a, **k: rows * (cols or rows)))
+    monkeypatch.setattr(np, "outer", _guarded(
+        np.outer, lambda a, b, *x, **k: np.size(a) * np.size(b)))
+    monkeypatch.setattr(np, "linspace", _guarded(
+        np.linspace, lambda start, stop, num=50, *a, **k: int(num)))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ghz", "--n", "40"), "pure-state cap"),
+        (("analyze", "--ket", "|" + "0" * 40 + ">"), "pure-state cap"),
+        (("zoo", "--nmin", "40", "--nmax", "40", "--samples", "1"), "pure-state cap"),
+        (("sweep", "--ket", "|0>+|1>", "--steps", str(10**12)), "steps"),
+    ],
+)
+def test_oversized_requests_exit_1_before_allocating(argv, message, capsys, no_huge_arrays):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_sweep_pure_20_qubits_runs_on_the_profile(capsys, no_huge_arrays):
+    ket = "|" + "0" * 20 + ">+|" + "1" * 20 + ">"
+    code, out, _ = run_cli(capsys, "sweep", "--ket", ket, "--steps", "11", "--format", "csv")
+    assert code == 0
+    r = 0.5 * (np.pi / 2) ** 20
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 11
+    for i, row in enumerate(rows):
+        assert float(row[0]) == pytest.approx(i / 10, abs=1e-15)
+        assert float(row[1]) == pytest.approx(float(row[0]) * r, rel=1e-11)
+
+
+def test_zoo_16_qubits_samples_profiles(capsys, no_huge_arrays):
+    code, out, _ = run_cli(capsys, "zoo", "--nmin", "16", "--nmax", "16", "--samples", "1")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 16 and all(row[6] == "true" for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# sweep and zoo output pinned byte for byte
+
+_GOLDEN_CASES = {
+    "sweep-ghz3": ("sweep", "--ket", "|000>+|111>", "--steps", "11"),
+    "sweep-complex": (
+        "sweep", "--ket", "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + 0.5*|0000>",
+        "--vmin", "0.2", "--vmax", "0.9", "--steps", "8",
+    ),
+    "sweep-density": ("sweep", "--input", "{dens3}", "--steps", "6"),
+    "zoo": ("zoo", "--nmin", "2", "--nmax", "4", "--samples", "3", "--seed", "7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_sweep_zoo_golden_output(case, fmt, tmp_path, capsys):
+    dens3 = tmp_path / "dens3.json"
+    dens3.write_text(json.dumps(state_to_json(random_density_matrix(3, np.random.default_rng(5)))))
+    argv = [a.format(dens3=dens3) for a in _GOLDEN_CASES[case]]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    golden = json.loads((GOLDEN / "sweep_zoo.json").read_text())
+    assert code == 0
+    assert out == golden[f"{case} {fmt}"]

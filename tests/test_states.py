@@ -15,6 +15,7 @@ from rotbell.states import (
     random_pure_state,
     render_ket,
     sample_k_separable,
+    sample_product_terms,
     state_from_json,
     state_to_json,
     tensor_product,
@@ -285,6 +286,27 @@ def test_sample_k_separable_rejects_bad_k():
         sample_k_separable(2, 3, 1, rng_seed=0)
 
 
+def test_sample_product_terms_are_the_mixture():
+    terms = sample_product_terms(4, 2, 3, rng_seed=42)
+    assert len(terms) == 3
+    assert sum(w for w, _ in terms) == pytest.approx(1.0, abs=1e-12)
+    assert all(isinstance(t, PureState) and t.n_qubits == 4 for _, t in terms)
+    dense = sum(w * np.outer(t.amplitudes, t.amplitudes.conj()) for w, t in terms)
+    assert np.array_equal(sample_k_separable(4, 2, 3, rng_seed=42).matrix, dense)
+
+
+def test_sample_product_terms_checks_cap_first():
+    with pytest.raises(ValueError, match="pure-state cap"):
+        sample_product_terms(40, 1, 1, rng_seed=0)
+
+
+def test_dense_constructors_check_cap_first():
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        DensityMatrix.maximally_mixed(40)
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        make_ghz(14).to_density()
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -394,3 +416,20 @@ def test_state_json_rejects_garbage():
         state_from_json({"n": 1, "kind": "pure"})
     with pytest.raises(ValueError):
         state_from_json([1, 2, 3])
+    with pytest.raises(ValueError, match="unknown state kind"):
+        state_from_json({"n": 1, "kind": ["pure"], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+
+
+def test_state_json_rejects_non_integer_n():
+    amps = [[1.0, 0.0], [0.0, 0.0]]
+    for n in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match='integer "n"'):
+            state_from_json({"n": n, "kind": "pure", "amplitudes": amps})
+
+
+def test_state_json_rejects_unknown_keys():
+    doc = state_to_json(make_ghz(1))
+    with pytest.raises(ValueError, match="'comment'"):
+        state_from_json({**doc, "comment": "ignored before"})
+    with pytest.raises(ValueError, match="'matrix'"):
+        state_from_json({**doc, "matrix": [[[1.0, 0.0]]]})
