@@ -28,11 +28,10 @@ system in only N angles.  The oracle module measures that gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _frozen
+from .states import MAX_DENSE_QUBITS, DensityMatrix, PureState, _check_qubits, _frozen
 
 __all__ = [
     "AntidiagonalProfile",
@@ -120,18 +119,21 @@ class CorrelationTensor:
         return f"CorrelationTensor(n_qubits={self.n_qubits})"
 
 
-@lru_cache(maxsize=64)
-def _sign_matrix(n):
-    """(2^(n-1), n) matrix of the signs of alpha_j in phi_k; column 0 is all +1."""
-    half = 1 << (n - 1)
-    m = np.arange(half)
-    signs = np.empty((half, n))
-    signs[:, 0] = 1.0
-    for j in range(2, n + 1):
-        bit = (m >> (n - j)) & 1
-        signs[:, j - 1] = 1.0 - 2.0 * bit
-    signs.setflags(write=False)
-    return signs
+def _evaluate(prof, phases):
+    """2 Re sum_k rho_ad(k) exp(i phi_k) on the grid spanned by per-qubit phases.
+
+    ``phases[j]`` lists exp(i alpha) for the settings of qubit j+1; the result
+    has shape (m_1, ..., m_N).  The profile is contracted one qubit at a time,
+    k2 first, with [ph_j; conj(ph_j)]: bit 0 carries +alpha_j and bit 1
+    carries -alpha_j.  Each step turns the leading bit axis into a trailing
+    setting axis, so the grid axes come out in qubit order.  Qubit 1 always
+    enters with +alpha_1.
+    """
+    acc = prof.values
+    for ph in phases[1:]:
+        acc = acc.reshape(2, -1).T @ np.stack([ph, np.conj(ph)])
+    acc = acc.reshape([len(ph) for ph in phases[1:]])
+    return 2.0 * np.multiply.outer(phases[0], acc).real
 
 
 def _check_angles(angles, n):
@@ -171,8 +173,7 @@ def correlation_value(state, angles):
     """
     prof = antidiagonal_profile(state)
     a = _check_angles(angles, prof.n_qubits)
-    phi = _sign_matrix(prof.n_qubits) @ a
-    return float(2.0 * np.real(np.sum(prof.values * np.exp(1j * phi))))
+    return float(_evaluate(prof, np.exp(1j * a)[:, None]).item())
 
 
 def correlation_value_trace(state, angles):
@@ -185,8 +186,7 @@ def correlation_value_trace(state, angles):
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     n = state.n_qubits
-    if n > 13:
-        raise ValueError(f"direct trace needs a dense 2^{n} operator; n above 13 refused")
+    _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
     a = _check_angles(angles, n)
     op = np.array([[1.0]], dtype=complex)
     for alpha in a:
@@ -196,39 +196,18 @@ def correlation_value_trace(state, angles):
     return float(np.real(np.einsum("ij,ji->", state.matrix, op)))
 
 
-def _walsh_hadamard(values):
-    w = np.array(values, dtype=complex)
-    h = 1
-    while h < w.size:
-        for start in range(0, w.size, 2 * h):
-            top = w[start : start + h].copy()
-            bottom = w[start + h : start + 2 * h]
-            w[start : start + h] = top + bottom
-            w[start + h : start + 2 * h] = top - bottom
-        h *= 2
-    return w
-
-
 def correlation_tensor(state):
     """All 2^N tensor components T(i1..iN) = E at the corner settings.
 
     Corner settings put alpha_j = 0 for i_j = x and alpha_j = pi/2 for
-    i_j = y.  Computed in O(N 2^N) through a Walsh-Hadamard transform of the
-    antidiagonal profile rather than 2^N separate corner evaluations.
+    i_j = y, i.e. the exact phases 1 and i.  All corners come out of one
+    contraction of the antidiagonal profile, in O(N 2^N), already in
+    (i1..iN) big-endian order.
     """
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
-    half = 1 << (n - 1)
-    w = _walsh_hadamard(prof.values)
-    masks = np.arange(half)
-    pop = np.zeros(half, dtype=int)
-    for b in range(n - 1):
-        pop += (masks >> b) & 1
-    comp = np.empty(1 << n)
-    quarter = np.stack([2.0 * w.real, -2.0 * w.imag, -2.0 * w.real, 2.0 * w.imag])
-    for i1 in (0, 1):
-        comp[i1 * half + masks] = quarter[(pop + i1) % 4, masks]
-    return CorrelationTensor(n, comp)
+    corners = [np.array([1.0, 1.0j])] * n
+    return CorrelationTensor(n, _evaluate(prof, corners).reshape(-1))
 
 
 def correlation_value_from_tensor(tensor, angles):

@@ -17,14 +17,13 @@ reason the gap check is reported separately from the four identity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import (
     AntidiagonalProfile,
-    _sign_matrix,
+    _evaluate,
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
@@ -92,18 +91,7 @@ class GridMax(NamedTuple):
 
 def _values_on_axes(profile, axes):
     """E evaluated on the tensor-product grid of the given per-axis angle arrays."""
-    n = profile.n_qubits
-    signs = _sign_matrix(n)
-    pos = [np.exp(1j * np.asarray(ax, dtype=float)) for ax in axes]
-    neg = [p.conj() for p in pos]
-    shape = tuple(p.size for p in pos)
-    acc = np.zeros(shape, dtype=complex)
-    for m, vm in enumerate(profile.values):
-        if vm == 0:
-            continue
-        factors = [pos[j] if signs[m, j] > 0 else neg[j] for j in range(n)]
-        acc += vm * reduce(np.multiply.outer, factors)
-    return 2.0 * acc.real
+    return _evaluate(profile, [np.exp(1j * ax) for ax in axes])
 
 
 def _fit_points(requested, n, rounds, budget):

@@ -470,17 +470,33 @@ def parse_ket_info(expression):
     n = len(terms[0][2])
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     amps = np.zeros(_dim(n), dtype=complex)
-    for s, coef, bits in terms:
-        if len(bits) != n:
-            raise ValueError(
-                f"inconsistent bitstring lengths: |{bits}> has {len(bits)} bits, expected {n}"
-            )
-        amps[int(bits, 2)] += s * coef
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
+    idx = []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
+        for s, coef, bits in terms:
+            if len(bits) != n:
+                raise ValueError(
+                    f"inconsistent bitstring lengths: |{bits}> has {len(bits)} bits, expected {n}"
+                )
+            idx.append(int(bits, 2))
+            amps[idx[-1]] += s * coef
+    # Only the named basis states are nonzero.  Scale them by a power of two
+    # before taking the norm so that neither huge nor tiny coefficients
+    # overflow or underflow.  The scaling is exact, so the amplitudes come out
+    # bit-identical to plain amps / norm wherever that works.
+    parts = amps[idx].view(float)
+    big = float(np.max(np.abs(parts)))
+    if not np.isfinite(big):
+        raise ValueError("ket amplitudes must be finite")
+    if big == 0.0:
         raise ValueError("ket expression sums to the zero vector")
-    state = PureState(n, amps / nrm)
-    return KetParse(state=state, input_norm=nrm, normalized=abs(nrm - 1.0) > NORM_TOL)
+    exp = int(np.frexp(big)[1])
+    amps[idx] = np.ldexp(parts, -exp).view(complex)
+    nrm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        input_norm = float(np.ldexp(nrm, exp))
+    amps /= nrm
+    state = PureState(n, amps)
+    return KetParse(state=state, input_norm=input_norm, normalized=abs(input_norm - 1.0) > NORM_TOL)
 
 
 def parse_ket(expression):

@@ -273,14 +273,11 @@ def test_verify_fresh_build_exits_0_and_is_deterministic(capsys):
 
 
 def test_verify_detects_sign_mutation(capsys, monkeypatch):
-    from rotbell.correlation import _sign_matrix, antidiagonal_profile
+    original = oracle_mod.correlation_value
 
     def flipped(state, angles):
-        prof = state if hasattr(state, "values") else antidiagonal_profile(state)
-        phi = _sign_matrix(prof.n_qubits) @ np.asarray(angles, dtype=float)
-        return float(
-            2.0 * np.sum(np.cos(phi) * prof.values.real + np.sin(phi) * prof.values.imag)
-        )
+        # every phase phi_k negated: E evaluated at the negated angles
+        return original(state, -np.asarray(angles, dtype=float))
 
     monkeypatch.setattr(oracle_mod, "correlation_value", flipped)
     code, out, _ = run_cli(capsys, "verify")

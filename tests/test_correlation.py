@@ -137,6 +137,15 @@ def test_correlation_matches_trace_everywhere():
                 assert abs(fast - slow) <= 1e-12
 
 
+def test_trace_oracle_refuses_above_dense_cap_before_building(monkeypatch):
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(ValueError, match="dense-matrix cap of 13"):
+        correlation_value_trace(make_ghz(14), np.zeros(14))
+
+
 def test_correlation_value_in_unit_interval():
     rng = np.random.default_rng(7)
     for n in (2, 4):

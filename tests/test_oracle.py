@@ -202,14 +202,11 @@ def test_cross_validate_rejects_large_n():
 def test_cross_validate_detects_sign_mutation(monkeypatch):
     # regression guard: a flipped sign in the antidiagonal evaluation path must
     # trip the trace-equivalence check
-    def flipped(state, angles):
-        prof = antidiagonal_profile(state) if not hasattr(state, "values") else state
-        from rotbell.correlation import _sign_matrix
+    original = oracle_mod.correlation_value
 
-        phi = _sign_matrix(prof.n_qubits) @ np.asarray(angles, dtype=float)
-        return float(
-            2.0 * np.sum(np.cos(phi) * prof.values.real + np.sin(phi) * prof.values.imag)
-        )
+    def flipped(state, angles):
+        # every phase phi_k negated: E evaluated at the negated angles
+        return original(state, -np.asarray(angles, dtype=float))
 
     monkeypatch.setattr(oracle_mod, "correlation_value", flipped)
     rep = cross_validate(parse_ket("|00> + (0.5+0.5i)*|11>"))

@@ -373,6 +373,8 @@ def test_parse_ket_errors():
         parse_ket("|0> + |00>")
     with pytest.raises(ValueError, match="zero vector"):
         parse_ket("|0> - |0>")
+    with pytest.raises(ValueError, match="finite"):
+        parse_ket("1e400|0> + |1>")
     with pytest.raises(ValueError, match="empty"):
         parse_ket("   ")
     with pytest.raises(ValueError, match="dangling"):
