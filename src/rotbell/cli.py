@@ -294,7 +294,7 @@ def _emit_oracle_csv(entries):
 def cmd_analyze(args):
     state, meta = _load_state(args)
     details = None
-    if args.details:
+    if args.details and args.format == "json":  # only the json report prints them
         details = {
             "antidiagonal_profile": antidiagonal_profile(state).to_json(),
             "correlation_tensor": correlation_tensor(state).to_json(),
@@ -470,10 +470,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError, OSError) as exc:
+    except (BudgetExceededError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

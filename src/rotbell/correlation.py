@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_DENSE_QUBITS, DensityMatrix, PureState, _check_qubits, _frozen
+from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, PureState
+from .states import _check_qubits, _frozen
 
 __all__ = [
     "AntidiagonalProfile",
@@ -67,9 +68,8 @@ class AntidiagonalProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
-        if n < 1:
-            raise ValueError(f"invalid qubit count {n!r}")
+        n = self.n_qubits
+        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
         if vals.size != 1 << (n - 1):
             raise ValueError(f"profile has length {vals.size}, expected 2^{n - 1}")
@@ -78,7 +78,7 @@ class AntidiagonalProfile:
         big = float(np.max(np.abs(vals)))
         if big > 0.5 + ANTIDIAG_BOUND_TOL:
             raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
-        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "values", _frozen(vals))
 
     def to_json(self):
@@ -97,18 +97,17 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
-        if n < 1:
-            raise ValueError(f"invalid qubit count {n!r}")
+        n = self.n_qubits
+        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
         comp = np.asarray(self.components, dtype=float).reshape(-1)
         if comp.size != 1 << n:
             raise ValueError(f"tensor has length {comp.size}, expected 2^{n}")
         if not np.all(np.isfinite(comp)):
             raise ValueError("tensor contains NaN or Inf")
-        big = float(np.max(np.abs(comp))) if comp.size else 0.0
+        big = float(np.max(np.abs(comp)))
         if big > 1.0 + TENSOR_BOUND_TOL:
             raise ValueError(f"tensor component {big} exceeds the unit bound")
-        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "components", _frozen(comp))
 
     def to_json(self):

@@ -88,15 +88,6 @@ class PureState:
         object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes):
-        """Build a state from a length-2^n vector, inferring n."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(amps.size).bit_length() - 1
-        if _dim(n) != amps.size or n < 1:
-            raise ValueError(f"amplitude vector length {amps.size} is not 2^n for n >= 1")
-        return cls(n, amps)
-
     @property
     def dim(self):
         return _dim(self.n_qubits)
@@ -131,14 +122,14 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
-        if not _is_psd(mat):
-            raise ValueError(f"matrix is not positive semidefinite (eigenvalue below -{PSD_TOL})")
+        try:  # a Cholesky factor of the shifted matrix exists iff lambda_min >= -PSD_TOL
+            np.linalg.cholesky(mat + (PSD_TOL + 1e-14) * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"matrix is not positive semidefinite (eigenvalue below -{PSD_TOL})"
+            ) from None
         object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "matrix", _frozen(mat))
-
-    @classmethod
-    def from_pure(cls, state):
-        return state.to_density()
 
     @classmethod
     def maximally_mixed(cls, n):
@@ -154,19 +145,6 @@ class DensityMatrix:
 
 
 State = PureState | DensityMatrix
-
-
-def _is_psd(mat):
-    # eigvalsh is affordable for the sizes we validate most; beyond that a
-    # Cholesky factorization of the shifted matrix tests lambda_min >= -PSD_TOL.
-    if mat.shape[0] <= 1024:
-        return float(np.linalg.eigvalsh(mat)[0]) >= -PSD_TOL
-    shifted = mat + (PSD_TOL + 1e-14) * np.eye(mat.shape[0])
-    try:
-        np.linalg.cholesky(shifted)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def as_density(state):

@@ -91,6 +91,19 @@ def test_analyze_details_arrays(capsys):
     assert corr["correlation_tensor"] == [1.0, -0.0, -0.0, -1.0]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_analyze_details_built_only_for_json(fmt, capsys, monkeypatch):
+    argv = ("analyze", "--ket", "|000>+|111>", "--format", fmt)
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+
+    def refuse(state):
+        raise AssertionError("correlation tensor built for a format that does not print it")
+
+    monkeypatch.setattr(cli_mod, "correlation_tensor", refuse)
+    assert run_cli(capsys, *argv, "--details") == plain
+
+
 def test_analyze_with_oracle_ok(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--ket", "|00>+|11>", "--format", "json", "--oracle"

@@ -3,6 +3,7 @@ import pytest
 
 from rotbell.correlation import (
     AntidiagonalProfile,
+    CorrelationTensor,
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
@@ -86,6 +87,18 @@ def test_profile_modulus_bound_for_valid_states():
 def test_profile_rejects_modulus_above_half():
     with pytest.raises(ValueError, match="bound"):
         AntidiagonalProfile(2, np.array([0.6, 0.0]))
+
+
+@pytest.mark.parametrize("cls, per_qubit", [(AntidiagonalProfile, 1), (CorrelationTensor, 2)])
+def test_profile_and_tensor_qubit_count_rule(cls, per_qubit):
+    # each bad count comes with the length int(count) would imply
+    for bad, length in ((True, 1), (2.7, 2), (np.float64(2.0), 2), (0, 1)):
+        with pytest.raises(ValueError, match="invalid qubit count"):
+            cls(bad, np.zeros(length * per_qubit))
+    with pytest.raises(ValueError, match="cap of 26"):
+        cls(27, np.zeros(per_qubit))
+    accepted = cls(np.int64(3), np.zeros(4 * per_qubit))
+    assert accepted.n_qubits == 3 and type(accepted.n_qubits) is int
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotbell.states import (
+    PSD_TOL,
     DensityMatrix,
     PartitionSpec,
     PureState,
@@ -90,6 +91,18 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.0], [0.0, 0.6]]))
     with pytest.raises(ValueError, match="positive semidefinite"):
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_density_matrix_psd_tolerance_boundary(n):
+    def unit_trace_diagonal(lam_min):
+        diag = np.zeros(1 << n)
+        diag[0], diag[-1] = 1.0 - lam_min, lam_min
+        return np.diag(diag)
+
+    DensityMatrix(n, unit_trace_diagonal(-0.5 * PSD_TOL))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(n, unit_trace_diagonal(-2.0 * PSD_TOL))
 
 
 def test_random_states_pass_validation():
