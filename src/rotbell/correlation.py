@@ -119,29 +119,38 @@ class CorrelationTensor:
 
 
 def _evaluate(prof, phases):
-    """2 Re sum_k rho_ad(k) exp(i phi_k) on the grid spanned by per-qubit phases.
+    """2 Re sum_k rho_ad(k) exp(i phi_k) on S grids spanned by per-qubit phases.
 
-    ``phases[j]`` lists exp(i alpha) for the settings of qubit j+1; the result
-    has shape (m_1, ..., m_N).  The profile is contracted one qubit at a time,
-    k2 first, with [ph_j; conj(ph_j)]: bit 0 carries +alpha_j and bit 1
-    carries -alpha_j.  Each step turns the leading bit axis into a trailing
-    setting axis, so the grid axes come out in qubit order.  Qubit 1 always
-    enters with +alpha_1.
+    ``phases[j]`` has shape (S, m_j) and lists exp(i alpha) for the settings
+    of qubit j+1 in each of the S grids; the result has shape
+    (S, m_1, ..., m_N).  One grid is S = 1; S scattered settings are
+    m_j = 1.  The profile is contracted one qubit at a time, k2 first, with
+    [ph_j; conj(ph_j)]: bit 0 carries +alpha_j and bit 1 carries -alpha_j.
+    Each step turns the leading bit axis into a trailing setting axis, so the
+    grid axes come out in qubit order.  Qubit 1 always enters with +alpha_1.
     """
-    acc = prof.values
+    acc = prof.values[None]
     for ph in phases[1:]:
-        acc = acc.reshape(2, -1).T @ np.stack([ph, np.conj(ph)])
-    acc = acc.reshape([len(ph) for ph in phases[1:]])
-    return 2.0 * np.multiply.outer(phases[0], acc).real
+        acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ np.stack([ph, np.conj(ph)], axis=1)
+    acc = acc.reshape([len(acc)] + [ph.shape[1] for ph in phases[1:]])
+    lead = phases[0].reshape(phases[0].shape + (1,) * (len(phases) - 1))
+    return 2.0 * (lead * acc[:, None]).real
 
 
-def _check_angles(angles, n):
-    a = np.asarray(angles, dtype=float).reshape(-1)
-    if a.size != n:
-        raise ValueError(f"expected {n} angles, got {a.size}")
+def _check_angles(angles, n, values_at):
+    """The one angle rule, shared by every pointwise route to E.
+
+    ``angles`` is one setting of shape (N,) or a stack of S settings of shape
+    (S, N), all finite.  ``values_at`` maps the (S, N) stack to S values; one
+    setting gets a float back, a stack an (S,) float array.
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise ValueError(f"expected {n} angles or an (S, {n}) stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("angles contain NaN or Inf")
-    return a
+    values = values_at(np.atleast_2d(a))
+    return float(values[0]) if a.ndim == 1 else values
 
 
 def antidiagonal_profile(state):
@@ -166,33 +175,48 @@ def antidiagonal_profile(state):
 
 
 def correlation_value(state, angles):
-    """E(alpha_1..alpha_N) from the antidiagonal profile.
+    """E(alpha_1..alpha_N) from the antidiagonal profile, at one setting or a stack.
 
     ``state`` may be a PureState, DensityMatrix, or AntidiagonalProfile.
+    ``angles`` of shape (N,) gives a float, an (S, N) stack an (S,) array.
     """
     prof = antidiagonal_profile(state)
-    a = _check_angles(angles, prof.n_qubits)
-    return float(_evaluate(prof, np.exp(1j * a)[:, None]).item())
+
+    def values_at(a):
+        return _evaluate(prof, list(np.exp(1j * a.T)[..., None])).reshape(len(a))
+
+    return _check_angles(angles, prof.n_qubits, values_at)
 
 
 def correlation_value_trace(state, angles):
     """E(alpha_1..alpha_N) by direct trace against the dense product observable.
 
     Reference implementation: builds kron_j [cos(a_j) sigma_x + sin(a_j) sigma_y]
-    explicitly, so it is independent of the antidiagonal bookkeeping above and
-    is used to cross-validate it.  Dense, hence limited to small N.
+    explicitly, one batched Kronecker step per qubit for a stack of settings,
+    so it is independent of the antidiagonal bookkeeping above and is used to
+    cross-validate it.  Dense, hence limited to small N, and to stacks of S
+    settings whose S 4^N operator entries fit one operator of the dense cap.
     """
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     n = state.n_qubits
     _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
-    a = _check_angles(angles, n)
-    op = np.array([[1.0]], dtype=complex)
-    for alpha in a:
-        op = np.kron(op, np.cos(alpha) * SIGMA_X + np.sin(alpha) * SIGMA_Y)
-    if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, op @ state.amplitudes)))
-    return float(np.real(np.einsum("ij,ji->", state.matrix, op)))
+
+    def values_at(a):
+        s = len(a)
+        if s << (2 * n) > 1 << (2 * MAX_DENSE_QUBITS):
+            raise ValueError(f"{s} dense {n}-qubit operators exceed the entries "
+                             f"of one {MAX_DENSE_QUBITS}-qubit operator")
+        local = np.cos(a)[..., None, None] * SIGMA_X + np.sin(a)[..., None, None] * SIGMA_Y
+        op = np.ones((s, 1, 1), dtype=complex)
+        for j in range(n):
+            op = np.einsum("sab,scd->sacbd", op, local[:, j]).reshape(s, 2 << j, 2 << j)
+        if isinstance(state, PureState):
+            psi = state.amplitudes
+            return np.real(np.conj(psi) @ (op @ psi)[..., None]).reshape(s)
+        return np.real(np.einsum("ij,sji->s", state.matrix, op))
+
+    return _check_angles(angles, n, values_at)
 
 
 def correlation_tensor(state):
@@ -205,19 +229,21 @@ def correlation_tensor(state):
     """
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
-    corners = [np.array([1.0, 1.0j])] * n
+    corners = [np.array([[1.0, 1.0j]])] * n
     return CorrelationTensor(n, _evaluate(prof, corners).reshape(-1))
 
 
 def correlation_value_from_tensor(tensor, angles):
     """E(alpha) reconstructed from tensor components: sum_T T * prod_j f_{i_j}(alpha_j)
-    with f_x = cos and f_y = sin."""
-    n = tensor.n_qubits
-    a = _check_angles(angles, n)
-    arr = tensor.components.reshape((2,) * n)
-    for alpha in a:
-        arr = np.tensordot(arr, np.array([np.cos(alpha), np.sin(alpha)]), axes=([0], [0]))
-    return float(arr)
+    with f_x = cos and f_y = sin, at one setting or an (S, N) stack."""
+
+    def values_at(a):
+        acc = tensor.components[None]
+        for f in np.stack([np.cos(a), np.sin(a)], axis=-1).swapaxes(0, 1):
+            acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ f[..., None]
+        return acc.reshape(len(a))
+
+    return _check_angles(angles, tensor.n_qubits, values_at)
 
 
 def e_max(state):

@@ -16,7 +16,7 @@ reason the gap check is reported separately from the four identity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -123,7 +123,7 @@ def maximize_grid(state, config=None):
         else:
             half_width *= REFINEMENT_SHRINK
             axes = [np.linspace(c - half_width, c + half_width, pts) for c in setting]
-        values = _evaluate(prof, [np.exp(1j * ax) for ax in axes])
+        values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
         idx = np.unravel_index(np.argmax(values), values.shape)
         if values[idx] > best:
             best, setting = float(values[idx]), np.array([ax[i] for ax, i in zip(axes, idx)])
@@ -143,7 +143,7 @@ def norm_squared_quadrature(state, points_per_axis=8):
     if points_per_axis**n > 20_000_000:
         raise ValueError(f"quadrature needs {points_per_axis}^{n} points: over the point budget")
     axes = [np.linspace(0.0, 2.0 * np.pi, points_per_axis, endpoint=False)] * n
-    values = _evaluate(prof, [np.exp(1j * ax) for ax in axes])
+    values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
     return float(np.sum(values**2) * (2.0 * np.pi / points_per_axis) ** n)
 
 
@@ -153,14 +153,6 @@ class CheckResult:
     value: float
     tolerance: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -197,18 +189,8 @@ class ValidationReport:
         return self.identity_ok and (self.attainability_ok or not attainability_gated)
 
     def to_dict(self):
-        return {
-            "n_qubits": self.n_qubits,
-            "trace_max_abs_diff": self.trace_max_abs_diff,
-            "dual_norm_rel_diff": self.dual_norm_rel_diff,
-            "quadrature_rel_diff": self.quadrature_rel_diff,
-            "e_max": self.e_max,
-            "grid_value": self.grid_value,
-            "grid_gap": self.grid_gap,
-            "identity_ok": self.identity_ok,
-            "attainability_ok": self.attainability_ok,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "identity_ok": self.identity_ok,
+                "attainability_ok": self.attainability_ok}
 
 
 def _rel_diff(a, b):
@@ -237,9 +219,8 @@ def cross_validate(state, config=None):
     prof = antidiagonal_profile(state)
     rng = np.random.default_rng(_TRACE_SETTINGS_SEED)
     settings = rng.uniform(0.0, 2.0 * np.pi, size=(_TRACE_SETTINGS, n))
-    trace_dev = max(
-        abs(correlation_value(prof, s) - correlation_value_trace(state, s)) for s in settings
-    )
+    trace_dev = float(np.max(np.abs(correlation_value(prof, settings)
+                                    - correlation_value_trace(state, settings))))
     ns_anti = norm_squared_antidiagonal(prof)
     ns_tens = norm_squared_tensor(correlation_tensor(prof))
     ns_quad = norm_squared_quadrature(prof)

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlation import ANTIDIAG_BOUND_TOL, antidiagonal_profile
-from .states import PartitionSpec
+from .states import PartitionSpec, _check_k, _is_count
 
 __all__ = [
     "stirling_second",
@@ -75,8 +75,7 @@ class PartitionEnumeration:
     """
 
     def __init__(self, n, k_min):
-        if not 1 <= k_min <= n:
-            raise ValueError(f"need 1 <= k_min <= n, got k_min={k_min}, n={n}")
+        _check_k(n, k_min, "k_min")
         if n > MAX_ENUMERATION_QUBITS:
             raise ValueError(
                 f"exhaustive enumeration refused for n={n} > {MAX_ENUMERATION_QUBITS}; "
@@ -111,8 +110,7 @@ def sample_partition(n, k, rng):
     probability S(n-1, k-1)/S(n, k), otherwise it joins one of the k blocks of
     a uniform partition of {1..n-1}.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k(n, k)
     blocks = []
     # A deferred element m joins one of the j blocks that the construction for
     # {1..m-1} is about to create; those are exactly the blocks appended after
@@ -141,8 +139,8 @@ def sample_partition(n, k, rng):
 
 def max_antidiagonal_bound(k):
     """Largest antidiagonal modulus a state factoring into k blocks can have: (1/2)^k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not _is_count(k):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return 0.5**k
 
 

@@ -54,11 +54,22 @@ def _dim(n):
     return 1 << n
 
 
+def _is_count(x):
+    """The one integer rule for counts: a Python or numpy integer >= 1, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
 def _check_qubits(n, cap, kind):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_count(n):
         raise ValueError(f"invalid qubit count {n!r}: need a positive integer")
     if n > cap:
         raise ValueError(f"n_qubits={n} exceeds the {kind} cap of {cap}")
+
+
+def _check_k(n, k, name="k"):
+    """The one "need 1 <= k <= n" rule; both must be counts (see ``_is_count``)."""
+    if not (_is_count(n) and _is_count(k) and k <= n):
+        raise ValueError(f"need 1 <= {name} <= n, got {name}={k}, n={n}")
 
 
 def _frozen(arr):
@@ -324,9 +335,8 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     block states.  Weights are uniform on the simplex.  Deterministic for a
     fixed ``rng_seed``; no 2^n x 2^n matrix is built.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n_terms < 1:
+    _check_k(n, k)
+    if not _is_count(n_terms):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     from .separability import sample_partition  # deferred: separability imports this module

@@ -11,11 +11,12 @@ threshold excludes nothing, so reports say "not excluded", never
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .correlation import antidiagonal_profile, e_max, norm_squared_antidiagonal
+from .states import _check_k, _is_count
 
 __all__ = [
     "ThresholdVerdict",
@@ -36,14 +37,6 @@ class ThresholdVerdict:
     r_k_max: float
     excluded: bool
     margin: float  # r - r_k_max, so callers can apply their own error bars
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "r_k_max": self.r_k_max,
-            "excluded": self.excluded,
-            "margin": self.margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,17 +59,7 @@ class WitnessReport:
         return self.min_excluded_separability == 2
 
     def to_dict(self):
-        return {
-            "n_qubits": self.n_qubits,
-            "e_max": self.e_max,
-            "norm_squared": self.norm_squared,
-            "r": self.r,
-            "lhv_violated": self.lhv_violated,
-            "max_possible_r": self.max_possible_r,
-            "thresholds": [t.to_dict() for t in self.thresholds],
-            "min_excluded_separability": self.min_excluded_separability,
-            "critical_visibility": self.critical_visibility,
-        }
+        return asdict(self)
 
 
 def violation_factor(norm_squared, e_max_value, n):
@@ -94,14 +77,13 @@ def violation_factor(norm_squared, e_max_value, n):
 
 def k_sep_threshold(n, k):
     """Largest violation factor any k-separable n-qubit state can reach: 2^-k (pi/2)^n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k(n, k)
     return float(2.0 ** (-k) * (np.pi / 2.0) ** n)
 
 
 def max_violation_bound(n):
     """Global maximum (1/2) (pi/2)^n of the violation factor, saturated by GHZ states."""
-    if n < 1:
+    if not _is_count(n):
         raise ValueError(f"invalid qubit count {n!r}")
     return float(0.5 * (np.pi / 2.0) ** n)
 

@@ -14,7 +14,6 @@ statistics are printed.  See README ("The attainability caveat").
 import time
 
 import numpy as np
-import pytest
 
 from rotbell.cli import main as cli_main
 from rotbell.correlation import (
@@ -239,7 +238,6 @@ def test_criterion_11_large_n_performance():
     assert report(11, ok, f"N=20 pure-state profile + r in {dt * 1000:.0f} ms (r = {rep.r:.4f})")
 
 
-@pytest.mark.slow
 def test_criterion_12_verify_exits_zero(capsys):
     t0 = time.perf_counter()
     code = cli_main(["verify"])

@@ -275,7 +275,6 @@ def test_zoo_deterministic(capsys):
 # verify
 
 
-@pytest.mark.slow
 def test_verify_fresh_build_exits_0_and_is_deterministic(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -175,6 +175,58 @@ def test_angle_validation():
         correlation_value(make_ghz(2), [0.0, np.nan])
 
 
+def _routes(state):
+    tensor = correlation_tensor(state)
+    return {
+        "profile": lambda a: correlation_value(state, a),
+        "trace": lambda a: correlation_value_trace(state, a),
+        "tensor": lambda a: correlation_value_from_tensor(tensor, a),
+    }
+
+
+@pytest.mark.parametrize("route", ["profile", "trace", "tensor"])
+def test_angle_shapes_outside_the_stack_contract_are_refused(route):
+    n, s = 3, 4
+    evaluate = _routes(make_ghz(n))[route]
+    bad_shapes = [(n + 1,), (s, n + 1), (2, s, n), (n, 1), ()]
+    for shape in bad_shapes:
+        with pytest.raises(ValueError, match="angles"):
+            evaluate(np.zeros(shape))
+    stack = np.zeros((s, n))
+    stack[2, 1] = np.nan
+    for bad in ([0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], stack):
+        with pytest.raises(ValueError, match="angles"):
+            evaluate(bad)
+
+
+@pytest.mark.parametrize("route", ["profile", "trace", "tensor"])
+def test_one_setting_gives_a_float_and_a_stack_an_array(route):
+    evaluate = _routes(make_ghz(3))[route]
+    single = evaluate([0.1, 0.2, 0.3])
+    assert type(single) is float
+    assert single == pytest.approx(np.cos(0.6), abs=1e-12)
+    one_row = evaluate([[0.1, 0.2, 0.3]])
+    assert isinstance(one_row, np.ndarray) and one_row.shape == (1,) and one_row.dtype == float
+    assert one_row[0] == single
+
+
+def test_trace_stack_refused_over_one_dense_operator_before_building(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_einsum(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    # 4 settings of 12 qubits fill exactly one 13-qubit operator; 5 do not fit
+    with pytest.raises(Built):
+        correlation_value_trace(make_ghz(12), np.zeros((4, 12)))
+    with pytest.raises(ValueError, match="one 13-qubit operator"):
+        correlation_value_trace(make_ghz(12), np.zeros((5, 12)))
+    with pytest.raises(ValueError, match="one 13-qubit operator"):
+        correlation_value_trace(make_ghz(13), np.zeros((2, 13)))
+
+
 # ---------------------------------------------------------------------------
 # correlation tensor
 

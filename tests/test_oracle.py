@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,19 @@ def test_cross_validate_detects_sign_mutation(monkeypatch):
     rep = cross_validate(parse_ket("|00> + (0.5+0.5i)*|11>"))
     assert not rep.identity_ok
     assert rep.trace_max_abs_diff > 1e-12
+
+
+def test_cross_validate_calls_each_route_once_per_state(monkeypatch):
+    calls = Counter()
+    for name in ("correlation_value", "correlation_value_trace"):
+        def counted(state, angles, _original=getattr(oracle_mod, name), _name=name):
+            calls[_name] += 1
+            return _original(state, angles)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    for state in (make_ghz(3), random_density_matrix(2, np.random.default_rng(4))):
+        assert cross_validate(state).identity_ok
+    assert calls == {"correlation_value": 2, "correlation_value_trace": 2}
 
 
 def test_cross_validate_deterministic():

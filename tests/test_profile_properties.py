@@ -4,9 +4,11 @@ White noise only touches the diagonal, so the noisy antidiagonal is exactly
 V times the clean one, and a mixture's profile is the weighted sum of its
 terms' profiles.  The CLI relies on both facts bit for bit.  Every evaluation
 of E runs through one contraction of the profile, which is checked here
-against the dense operator trace; r depends only on the moduli of the
-profile, so it cannot see qubit relabellings, local z-rotations or a global
-phase; and the ket parser rejects bad text with ValueError alone.
+against the dense operator trace, and every pointwise route evaluates a
+stack of settings exactly as it evaluates each row; r depends only on the
+moduli of the profile, so it cannot see qubit relabellings, local
+z-rotations or a global phase; and the ket parser rejects bad text with
+ValueError alone.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from rotbell.correlation import (
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
+    correlation_value_from_tensor,
     correlation_value_trace,
     e_max,
 )
@@ -95,6 +98,24 @@ def test_profile_evaluation_matches_trace_and_stays_below_e_max(state, seed):
         value = correlation_value(state, a)
         assert abs(value - correlation_value_trace(state, a)) <= 1e-12
         assert value <= bound + 1e-12
+
+
+@SETTINGS
+@given(states(), seeds, st.integers(1, 7))
+def test_every_route_takes_a_stack_of_settings(state, seed, s):
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(s, state.n_qubits))
+    tensor = correlation_tensor(state)
+    stacks = []
+    for route, target in ((correlation_value, state), (correlation_value_trace, state),
+                          (correlation_value_from_tensor, tensor)):
+        rows = [route(target, a) for a in angles]
+        assert all(type(v) is float for v in rows)
+        stacked = route(target, angles)
+        assert stacked.shape == (s,) and stacked.dtype == float
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        stacks.append(stacked)
+    assert np.max(np.abs(stacks[1] - stacks[0])) <= 1e-12
+    assert np.max(np.abs(stacks[2] - stacks[0])) <= 1e-12
 
 
 @SETTINGS

@@ -16,8 +16,10 @@ from rotbell.states import (
     make_ghz,
     mix,
     random_pure_state,
+    sample_product_terms,
     tensor_product,
 )
+from rotbell.witness import k_sep_threshold, max_violation_bound
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -93,6 +95,37 @@ def test_enumerate_rejects_bad_kmin():
         enumerate_partitions(3, 0)
     with pytest.raises(ValueError):
         enumerate_partitions(3, 4)
+
+
+@pytest.mark.parametrize("bad", [True, 2.7, np.float64(2.0), 0])
+def test_one_count_rule_for_n_and_k(bad):
+    rng = np.random.default_rng(0)
+    refused = [
+        lambda: max_violation_bound(bad),
+        lambda: k_sep_threshold(bad, 1),
+        lambda: k_sep_threshold(3, bad),
+        lambda: enumerate_partitions(bad, 1),
+        lambda: enumerate_partitions(3, bad),
+        lambda: sample_partition(bad, 1, rng),
+        lambda: sample_partition(3, bad, rng),
+        lambda: sample_product_terms(bad, 1, 1, rng_seed=0),
+        lambda: sample_product_terms(3, bad, 1, rng_seed=0),
+        lambda: sample_product_terms(3, 1, bad, rng_seed=0),
+        lambda: max_antidiagonal_bound(bad),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    n, k = np.int64(3), np.int64(2)
+    assert k_sep_threshold(n, k) == k_sep_threshold(3, 2)
+    assert max_violation_bound(n) == max_violation_bound(3)
+    assert enumerate_partitions(n, k).count == 4
+    assert sample_partition(n, k, np.random.default_rng(0)).k == 2
+    assert len(sample_product_terms(n, k, 2, rng_seed=0)) == 2
+    assert max_antidiagonal_bound(k) == 0.25
 
 
 def test_sample_partition_block_count_and_cover():
