@@ -19,6 +19,8 @@ import numpy as np
 from .correlation import AntidiagonalProfile, antidiagonal_profile, correlation_tensor
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .states import (
+    MAX_DENSE_QUBITS,
+    MAX_PURE_QUBITS,
     PureState,
     make_ghz,
     parse_ket,
@@ -41,6 +43,13 @@ _ORACLE_CONFIG = GridSearchConfig(points_per_axis=24, refinement_rounds=3, max_e
 
 # one output row per step; 1e-4 resolution in V is the finest a sweep offers
 _MAX_SWEEP_STEPS = 10_001
+
+# Longest state file read: 128 characters per [re, im] entry of the largest
+# state the qubit caps allow.  In json.dumps(..., indent=2) an entry takes at
+# most 84 (two 24-character float reprs with brackets, commas, newlines and
+# the density nesting's indentation); the rest covers row brackets and the
+# header of small states.
+_MAX_INPUT_CHARS = max(1 << MAX_PURE_QUBITS, 1 << (2 * MAX_DENSE_QUBITS)) * 128
 
 
 def _fmt(x):
@@ -148,6 +157,18 @@ def _build_parser():
 # input handling
 
 
+def _read_capped(fh):
+    """All text of ``fh``, refused once it passes the cap; reads at most one character more."""
+    chunks, left = [], _MAX_INPUT_CHARS + 1
+    while left and (chunk := fh.read(min(left, 1 << 20))):  # one huge read() would allocate it
+        chunks.append(chunk)
+        left -= len(chunk)
+    if not left:
+        raise ValueError(f"input exceeds {_MAX_INPUT_CHARS} characters, "
+                         "more than any state within the qubit caps needs")
+    return "".join(chunks)
+
+
 def _load_state(args):
     if args.ket is not None:
         info = parse_ket_info(args.ket)
@@ -158,11 +179,11 @@ def _load_state(args):
         }
         return info.state, meta
     if args.input == "-":
-        text = sys.stdin.read()
+        text = _read_capped(sys.stdin)
         source = "stdin"
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = _read_capped(fh)
         source = args.input
     try:
         obj = json.loads(text)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, PureState
-from .states import _check_qubits, _frozen
+from .states import _check_qubits, _freeze_array
 
 __all__ = [
     "AntidiagonalProfile",
@@ -68,18 +68,11 @@ class AntidiagonalProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
-        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-        vals = np.asarray(self.values, dtype=complex).reshape(-1)
-        if vals.size != 1 << (n - 1):
-            raise ValueError(f"profile has length {vals.size}, expected 2^{n - 1}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("profile contains NaN or Inf")
+        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        vals = _freeze_array(self, "values", complex, (1 << (self.n_qubits - 1),), "profile")
         big = float(np.max(np.abs(vals)))
         if big > 0.5 + ANTIDIAG_BOUND_TOL:
             raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
-        object.__setattr__(self, "n_qubits", int(n))
-        object.__setattr__(self, "values", _frozen(vals))
 
     def to_json(self):
         """[re, im] pairs in index order (k2..kN packed big-endian)."""
@@ -97,18 +90,11 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
-        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-        comp = np.asarray(self.components, dtype=float).reshape(-1)
-        if comp.size != 1 << n:
-            raise ValueError(f"tensor has length {comp.size}, expected 2^{n}")
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("tensor contains NaN or Inf")
+        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        comp = _freeze_array(self, "components", float, (1 << self.n_qubits,), "tensor")
         big = float(np.max(np.abs(comp)))
         if big > 1.0 + TENSOR_BOUND_TOL:
             raise ValueError(f"tensor component {big} exceeds the unit bound")
-        object.__setattr__(self, "n_qubits", int(n))
-        object.__setattr__(self, "components", _frozen(comp))
 
     def to_json(self):
         """Component list in index order ((i1..iN) packed big-endian, x=0, y=1)."""

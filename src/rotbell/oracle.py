@@ -32,6 +32,7 @@ from .correlation import (
     norm_squared_antidiagonal,
     norm_squared_tensor,
 )
+from .states import _is_count
 
 __all__ = [
     "GridSearchConfig",
@@ -75,12 +76,12 @@ class GridSearchConfig:
     max_evaluations: int = 10_000_000
 
     def __post_init__(self):
-        if self.points_per_axis < MIN_POINTS_PER_AXIS:
-            raise ValueError(f"points_per_axis must be >= {MIN_POINTS_PER_AXIS}")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be positive")
+        if not _is_count(self.points_per_axis, MIN_POINTS_PER_AXIS):
+            raise ValueError(f"points_per_axis must be an integer >= {MIN_POINTS_PER_AXIS}")
+        if not _is_count(self.refinement_rounds, 0):
+            raise ValueError("refinement_rounds must be an integer >= 0")
+        if not _is_count(self.max_evaluations):
+            raise ValueError("max_evaluations must be a positive integer")
 
 
 class GridMax(NamedTuple):
@@ -136,8 +137,8 @@ def norm_squared_quadrature(state, points_per_axis=8):
     Exact (up to roundoff) for any profile once ``points_per_axis`` >= 5,
     because E^2 only contains per-axis frequencies up to 2.
     """
-    if points_per_axis < 5:
-        raise ValueError("points_per_axis must be >= 5 for the rule to be exact")
+    if not _is_count(points_per_axis, 5):
+        raise ValueError("points_per_axis must be an integer >= 5 for the rule to be exact")
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
     if points_per_axis**n > 20_000_000:

@@ -54,9 +54,9 @@ def _dim(n):
     return 1 << n
 
 
-def _is_count(x):
-    """The one integer rule for counts: a Python or numpy integer >= 1, never a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+def _is_count(x, least=1):
+    """The one integer rule for counts: a Python or numpy integer >= least, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
 def _check_qubits(n, cap, kind):
@@ -72,9 +72,26 @@ def _check_k(n, k, name="k"):
         raise ValueError(f"need 1 <= {name} <= n, got {name}={k}, n={n}")
 
 
-def _frozen(arr):
-    arr = np.array(arr)
+def _freeze_array(obj, field, dtype, shape, what):
+    """The one construct-time array rule of the state-like dataclasses.
+
+    Replaces ``obj.<field>`` by an owned ``dtype`` copy of it (flattened when
+    ``shape`` is one-dimensional), refuses any other shape and any NaN or Inf,
+    freezes the copy and stores ``n_qubits`` as a Python int.  Returns the
+    frozen array for the type's own checks.
+    """
+    arr = np.array(getattr(obj, field), dtype=dtype)
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+        if arr.size != shape[0]:
+            raise ValueError(f"{what} has length {arr.size}, expected {shape[0]}")
+    elif arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains NaN or Inf")
     arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
+    object.__setattr__(obj, "n_qubits", int(obj.n_qubits))
     return arr
 
 
@@ -86,18 +103,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
-        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != _dim(n):
-            raise ValueError(f"amplitude vector has length {amps.size}, expected 2^{n} = {_dim(n)}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes contain NaN or Inf")
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
+        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        amps = _freeze_array(self, "amplitudes", complex, (_dim(self.n_qubits),), "amplitude vector")
+        nrm2 = float(np.vdot(amps, amps).real)
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
-        object.__setattr__(self, "n_qubits", int(n))
-        object.__setattr__(self, "amplitudes", _frozen(amps))
 
     @property
     def dim(self):
@@ -120,14 +130,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
-        _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
-        d = _dim(n)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix contains NaN or Inf")
+        _check_qubits(self.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
+        d = _dim(self.n_qubits)
+        mat = _freeze_array(self, "matrix", complex, (d, d), "matrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
@@ -139,8 +144,6 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix is not positive semidefinite (eigenvalue below -{PSD_TOL})"
             ) from None
-        object.__setattr__(self, "n_qubits", int(n))
-        object.__setattr__(self, "matrix", _frozen(mat))
 
     @classmethod
     def maximally_mixed(cls, n):
@@ -362,11 +365,14 @@ def sample_k_separable(n, k, n_terms, rng_seed):
 # ---------------------------------------------------------------------------
 # ket expressions
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN = re.compile(
-    r"\s*(?:(?P<plus>\+)|(?P<minus>-)|(?P<star>\*)"
-    r"|(?P<cnum>\(\s*(?P<re>%s)\s*(?P<imsign>[+-])\s*(?P<im>%s)\s*i\s*\))"
-    r"|(?P<num>%s)|(?P<ket>\|[01]+>))" % (_NUMBER, _NUMBER, _NUMBER)
+# One term of a ket expression, [sign] [coef ['*']] |bits>, matched term by
+# term.  No two adjacent quantifiers can split the same run of characters, so
+# a failed match costs time linear in the length of the text.
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_TERM = re.compile(
+    r"\s*(?:(?P<sign>[+-])\s*)?(?:(?:(?P<num>{u})"
+    r"|\(\s*(?P<re>[+-]?{u})\s*(?P<imsign>[+-])\s*(?P<im>[+-]?{u})\s*i\s*\))\s*(?:\*\s*)?)?"
+    r"\|(?P<bits>[01]+)>".format(u=_UNSIGNED)
 )
 
 
@@ -382,107 +388,76 @@ class KetParse:
 def parse_ket_info(expression):
     """Parse a ket expression, reporting whether normalization was applied.
 
-    Grammar (whitespace insignificant)::
+    Grammar (whitespace may stand between tokens; a signed part, a number
+    and a ket are single tokens)::
 
-        expr := term (("+"|"-") term)*
-        term := coef? "|" bits ">"
-        coef := number | "(" number ("+"|"-") number "i" ")" , optional "*"
-        bits := ("0"|"1")+ , all terms equal length
+        expr   := [sign] term (sign term)*
+        term   := [coef ["*"]] ket
+        coef   := number | "(" part sign part "i" ")"
+        part   := [sign]number
+        number := (digits ["." [digits]] | "." digits) [("e"|"E") [sign] digits]
+        ket    := "|" ("0"|"1")+ ">" , all kets of equal length
+        sign   := "+" | "-"
 
-    The amplitude vector is always renormalized; ``normalized`` is True when
-    the raw norm deviated from 1 by more than 1e-10.
+    Only the first term may go without a sign.  Numbers are unsigned outside
+    parentheses, where the term's sign gives the sign; inside them the real
+    and imaginary parts may each carry their own.  The coefficients of a
+    repeated basis state are summed in text order.  Normalization runs over
+    the named terms only: their sums are scaled by a power of two, so that
+    neither huge nor tiny coefficients overflow or underflow, divided by their
+    norm, and placed into an otherwise zero amplitude vector.  ``input_norm``
+    is the norm of the unscaled sums, and ``normalized`` is True when it
+    deviated from 1 by more than 1e-10.
     """
     text = expression
-    pos = 0
-    terms = []  # (sign, coefficient, bits)
-    sign = 1.0
-    expect_term = True
-    first = True
-
-    def err(msg):
-        raise ValueError(f"ket syntax error at position {pos}: {msg}")
-
-    while True:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if pos >= len(text) or not text[pos:].strip():
-                break
-            err(f"unexpected character {text[pos:].lstrip()[0]!r}")
-        tokpos = pos
+    terms, pos = [], 0
+    while (m := _TERM.match(text, pos)) and (not terms or m["sign"]):
+        terms.append(m)
         pos = m.end()
-        if m.group("plus") or m.group("minus"):
-            if expect_term and not first:
-                pos = tokpos
-                err("expected a term, found a sign")
-            sign = -1.0 if m.group("minus") else 1.0
-            expect_term = True
-            first = False
-            continue
-        if not expect_term:
-            pos = tokpos
-            err("expected '+' or '-' between terms")
-        coef = None
-        if m.group("cnum"):
-            im = float(m.group("im"))
-            if m.group("imsign") == "-":
-                im = -im
-            coef = complex(float(m.group("re")), im)
-        elif m.group("num"):
-            coef = complex(float(m.group("num")))
-        if coef is not None:
-            m2 = _TOKEN.match(text, pos)
-            if m2 is not None and m2.group("star"):
-                pos = m2.end()
-                m2 = _TOKEN.match(text, pos)
-            if m2 is None or not m2.group("ket"):
-                err("expected '|bits>' after coefficient")
-            bits = m2.group("ket")[1:-1]
-            pos = m2.end()
-        elif m.group("ket"):
-            bits = m.group("ket")[1:-1]
-            coef = complex(1.0)
-        elif m.group("star"):
-            pos = tokpos
-            err("unexpected '*'")
-        else:  # pragma: no cover - the token regex is exhaustive
-            err("unrecognized token")
-        terms.append((sign, coef, bits))
-        sign = 1.0
-        expect_term = False
-        first = False
-
-    if not terms:
+    tail = text[pos:].strip()
+    if not terms and tail in ("", "+", "-"):
         raise ValueError("ket syntax error: empty expression")
-    if expect_term:
+    if tail in ("+", "-"):
         raise ValueError(f"ket syntax error at position {len(text)}: dangling sign")
-    n = len(terms[0][2])
+    if tail:
+        at = text.index(tail[0], pos)
+        want = "'+' or '-' between terms" if m else "a term [sign] [coefficient [*]] |bits>"
+        raise ValueError(f"ket syntax error at position {at}: expected {want}, found {tail[:10]!r}")
+
+    n = len(terms[0]["bits"])
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    amps = np.zeros(_dim(n), dtype=complex)
-    idx = []
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
-        for s, coef, bits in terms:
-            if len(bits) != n:
-                raise ValueError(
-                    f"inconsistent bitstring lengths: |{bits}> has {len(bits)} bits, expected {n}"
-                )
-            idx.append(int(bits, 2))
-            amps[idx[-1]] += s * coef
-    # Only the named basis states are nonzero.  Scale them by a power of two
-    # before taking the norm so that neither huge nor tiny coefficients
-    # overflow or underflow.  The scaling is exact, so the amplitudes come out
-    # bit-identical to plain amps / norm wherever that works.
-    parts = amps[idx].view(float)
+    sums = {}  # basis index -> summed coefficient
+    for m in terms:
+        if len(m["bits"]) != n:
+            raise ValueError(
+                f"inconsistent bitstring lengths: |{m['bits']}> has {len(m['bits'])} bits, "
+                f"expected {n}"
+            )
+        if m["num"] is not None:
+            coef = complex(float(m["num"]))
+        elif m["re"] is not None:
+            im = float(m["im"])
+            coef = complex(float(m["re"]), -im if m["imsign"] == "-" else im)
+        else:
+            coef = complex(1.0)
+        idx = int(m["bits"], 2)
+        sums[idx] = sums.get(idx, 0j) + (-1.0 if m["sign"] == "-" else 1.0) * coef
+    named = sorted(sums)
+    parts = np.array([sums[i] for i in named], dtype=complex).view(float)
     big = float(np.max(np.abs(parts)))
     if not np.isfinite(big):
         raise ValueError("ket amplitudes must be finite")
     if big == 0.0:
         raise ValueError("ket expression sums to the zero vector")
+    # The power-of-two scaling is exact, so the amplitudes come out
+    # bit-identical to plain sums / norm wherever that does not overflow.
     exp = int(np.frexp(big)[1])
-    amps[idx] = np.ldexp(parts, -exp).view(complex)
-    nrm = float(np.linalg.norm(amps))
+    vals = np.ldexp(parts, -exp).view(complex)
+    nrm = float(np.linalg.norm(vals))
     with np.errstate(over="ignore"):
         input_norm = float(np.ldexp(nrm, exp))
-    amps /= nrm
+    amps = np.zeros(_dim(n), dtype=complex)
+    amps[named] = vals / nrm
     state = PureState(n, amps)
     return KetParse(state=state, input_norm=input_norm, normalized=abs(input_norm - 1.0) > NORM_TOL)
 

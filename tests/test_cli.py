@@ -11,6 +11,10 @@ import rotbell.cli as cli_mod
 import rotbell.oracle as oracle_mod
 from rotbell.cli import main
 from rotbell.states import (
+    MAX_DENSE_QUBITS,
+    MAX_PURE_QUBITS,
+    DensityMatrix,
+    PureState,
     as_density,
     parse_ket,
     random_density_matrix,
@@ -64,13 +68,52 @@ def test_analyze_biseparable_density_file(tmp_path, capsys):
 
 
 def test_analyze_stdin(capsys, monkeypatch):
-    import io
-
     payload = json.dumps(state_to_json(parse_ket("|00>+|11>")))
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run_cli(capsys, "analyze", "--input", "-", "--format", "json")
     assert code == 0
     assert json.loads(out)["report"]["r"] == pytest.approx(np.pi**2 / 8.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_oversize_input_exits_1_before_parsing(source, tmp_path, capsys, monkeypatch):
+    payload = json.dumps(state_to_json(parse_ket("|00>+|11>")), indent=2)
+    stream = io.StringIO(payload)
+    monkeypatch.setattr("sys.stdin", stream)
+    path = tmp_path / "state.json"
+    path.write_text(payload)
+    arg = "-" if source == "stdin" else str(path)
+    monkeypatch.setattr(cli_mod, "_MAX_INPUT_CHARS", len(payload))
+    assert run_cli(capsys, "analyze", "--input", arg)[0] == 0
+
+    def no_parse(text):
+        raise AssertionError("oversize input reached json.loads")
+
+    cap = len(payload) - 1
+    monkeypatch.setattr(cli_mod, "_MAX_INPUT_CHARS", cap)
+    monkeypatch.setattr(cli_mod.json, "loads", no_parse)
+    stream.seek(0)
+    code, out, err = run_cli(capsys, "analyze", "--input", arg)
+    assert code == 1 and out == ""
+    assert f"input exceeds {cap} characters" in err
+    if source == "stdin":
+        assert stream.tell() == cap + 1  # reading stopped one character past the cap
+
+
+def test_input_cap_admits_indented_state_json_at_the_qubit_caps():
+    # the cap allows the same characters per entry at any n; fill every
+    # off-diagonal entry with the widest float reprs
+    per_entry = cli_mod._MAX_INPUT_CHARS / max(2**MAX_PURE_QUBITS, 4**MAX_DENSE_QUBITS)
+    wide = -1.2345678901234567e-100 * (1 + 1j)
+    for n in (1, 2, 3):
+        d = 1 << n
+        amps = np.full(d, wide)
+        amps[0] = 1.0
+        mat = np.full((d, d), wide)
+        mat[np.tril_indices(d)] = np.conj(wide)
+        mat[np.diag_indices(d)] = 1.0 / d
+        for state, entries in ((PureState(n, amps), d), (DensityMatrix(n, mat), d * d)):
+            assert len(json.dumps(state_to_json(state), indent=2)) <= per_entry * entries
 
 
 def test_analyze_text_wording_not_excluded(capsys):
@@ -449,5 +492,31 @@ def test_sweep_zoo_golden_output(case, fmt, tmp_path, capsys):
     argv = [a.format(dens3=dens3) for a in _GOLDEN_CASES[case]]
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     golden = json.loads((GOLDEN / "sweep_zoo.json").read_text())
+    assert code == 0
+    assert out == golden[f"{case} {fmt}"]
+
+
+# ---------------------------------------------------------------------------
+# analyze --ket output pinned byte for byte
+
+_GOLDEN_KETS = {
+    "ghz-type": "(0.6+0.2i)*|0000> - 0.8*|1111>",
+    "w": "|001> + |010> + |100>",
+    "complement-closed": (
+        "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + (0.5-0.1i)*|0011> + (-0.2+0.9i)*|1100>"
+    ),
+    "repeated": "|01> + 0.5*|10> + |01> - (0.25+1i)*|10>",
+    "leading-sign": "-|000> + (0.5-0.5i)|111>",
+    "signed-parts": "(1 - -2i)|00> + (-0.5 + +1.5i)*|11>",
+    "scale-huge": "1e200|00>+1e200|11>",
+    "scale-tiny": "1e-170|00>+1e-170|11>",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN_KETS))
+def test_analyze_ket_golden_output(case, fmt, capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--ket", _GOLDEN_KETS[case], "--details", "--format", fmt)
+    golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]

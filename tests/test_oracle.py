@@ -113,6 +113,11 @@ def test_grid_config_validation():
         GridSearchConfig(points_per_axis=4)
     with pytest.raises(ValueError):
         GridSearchConfig(max_evaluations=0)
+    for bad in ({"points_per_axis": 10.5}, {"max_evaluations": 1e6},
+                {"refinement_rounds": 1.5}, {"refinement_rounds": True}):
+        with pytest.raises(ValueError, match="integer"):
+            GridSearchConfig(**bad)
+    assert GridSearchConfig(refinement_rounds=0, points_per_axis=np.int64(9)).refinement_rounds == 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +160,8 @@ def test_quadrature_exactness_plateau():
 def test_quadrature_input_checks():
     with pytest.raises(ValueError, match=">= 5"):
         norm_squared_quadrature(make_ghz(2), 4)
+    with pytest.raises(ValueError, match="integer"):
+        norm_squared_quadrature(make_ghz(2), 5.5)
     with pytest.raises(ValueError, match="budget"):
         norm_squared_quadrature(make_ghz(10), 16)
 

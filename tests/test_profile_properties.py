@@ -8,12 +8,13 @@ against the dense operator trace, and every pointwise route evaluates a
 stack of settings exactly as it evaluates each row; r depends only on the
 moduli of the profile, so it cannot see qubit relabellings, local
 z-rotations or a global phase; and the ket parser rejects bad text with
-ValueError alone.
+ValueError alone and reads every text of its documented grammar as the
+per-index sums of its coefficients, normalized.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotbell.cli import _sampled_k_separable_profile
@@ -175,3 +176,56 @@ def test_ket_scale_does_not_change_the_state(c):
     info = parse_ket_info(f"{c!r}*|00> + {c!r}*|11>")
     assert np.allclose(info.state.amplitudes, make_ghz(2).amplitudes, rtol=0, atol=1e-15)
     assert info.input_norm == pytest.approx(c * np.sqrt(2.0), rel=1e-15)
+
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+_PART_SIGN = st.sampled_from(["", "+", "-"])
+_NUMBER = st.one_of(
+    st.integers(0, 999).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 999)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.integers(0, 99).map(lambda a: f"{a}."),
+    st.integers(0, 999).map(lambda b: f".{b}"),
+).flatmap(lambda m: st.sampled_from(["", "e2", "E-3", "e+1", "e0"]).map(lambda e: m + e))
+
+
+@st.composite
+def ket_expressions(draw):
+    """Text of the documented ket grammar, with its coefficients summed per basis index."""
+    n = draw(st.integers(1, 3))
+    parts, sums = [], {}
+    for t in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(["+", "-"] if t else ["", "+", "-"]))
+        form = draw(st.sampled_from(["bare", "number", "complex"]))
+        if form == "bare":
+            text, coef = "", complex(1.0)
+        elif form == "number":
+            text = draw(_NUMBER)
+            coef = complex(float(text))
+        else:
+            re_sign, im_part_sign = draw(_PART_SIGN), draw(_PART_SIGN)
+            im_sign = draw(st.sampled_from("+-"))
+            re, im = draw(_NUMBER), draw(_NUMBER)
+            w = [draw(_WS) for _ in range(5)]
+            text = f"({w[0]}{re_sign}{re}{w[1]}{im_sign}{w[2]}{im_part_sign}{im}{w[3]}i{w[4]})"
+            im_value = float(im_part_sign + im)
+            coef = complex(float(re_sign + re), -im_value if im_sign == "-" else im_value)
+        if text and draw(st.booleans()):
+            text += draw(_WS) + "*"
+        idx = draw(st.integers(0, (1 << n) - 1))
+        parts.append(f"{draw(_WS)}{sign}{draw(_WS)}{text}{draw(_WS)}|{idx:0{n}b}>{draw(_WS)}")
+        sums[idx] = sums.get(idx, 0j) + (-1.0 if sign == "-" else 1.0) * coef
+    amps = np.zeros(1 << n, dtype=complex)
+    for idx, c in sums.items():
+        amps[idx] = c
+    return "".join(parts), amps
+
+
+@SETTINGS
+@given(ket_expressions())
+def test_ket_grammar_reads_the_summed_normalized_coefficients(expr):
+    text, amps = expr
+    norm = np.linalg.norm(amps)
+    assume(norm > 0)
+    info = parse_ket_info(text)
+    assert np.allclose(info.state.amplitudes, amps / norm, rtol=0, atol=1e-15)
+    assert info.input_norm == pytest.approx(norm, rel=1e-15)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -392,8 +394,22 @@ def test_parse_ket_errors():
         parse_ket("   ")
     with pytest.raises(ValueError, match="dangling"):
         parse_ket("|0> +")
-    with pytest.raises(ValueError):
-        parse_ket("0.5 + |0>")
+    for text in ("|0> + +|1>", "*|0>", "0.5 + |0>", "|0>|1>", "(1+2)|0>"):
+        with pytest.raises(ValueError, match="position"):
+            parse_ket(text)
+
+
+@pytest.mark.parametrize("run", [" " * 50_000, "7" * 50_000], ids=["spaces", "digits"])
+def test_parse_ket_fails_in_linear_time(run):
+    # a parser whose adjacent quantifiers can split one run backtracks
+    # quadratically on it: seconds for a run this long
+    template = "-( 1.5e+2 - -2.5 i )*|01> + 0.5e-1 * |10>"
+    for gap in range(len(template) + 1):
+        text = template[:gap] + run + "@" + template[gap:]
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_ket(text)
+        assert time.perf_counter() - start < 1.0, f"run inserted at {gap}"
 
 
 def test_render_parse_roundtrip_up_to_global_phase():
