@@ -94,6 +94,23 @@ def _emit_csv(header, rows):
     sys.stdout.write(buf.getvalue())
 
 
+def _emit_table(fmt, columns, rows):
+    """Rows as json objects, csv, or a text table; ``columns`` are (csv name, text label, width).
+
+    Text cells are right-justified to their column's width and joined by one
+    space; an empty cell prints ``-``.
+    """
+    names = [name for name, _, _ in columns]
+    if fmt == "json":
+        _emit_json({"rows": [dict(zip(names, row)) for row in rows]})
+    elif fmt == "csv":
+        _emit_csv(names, rows)
+    else:
+        lines = [[label for _, label, _ in columns]] + [[_fmt(v) or "-" for v in row] for row in rows]
+        for line in lines:
+            sys.stdout.write(" ".join(c.rjust(w) for c, (_, _, w) in zip(line, columns)) + "\n")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the exit-code contract reserves 2 for
     # validation failures, so remap usage problems to 1.
@@ -329,7 +346,8 @@ def cmd_ghz(args):
     return _report_state(make_ghz(args.n), args, gated=True)
 
 
-_SWEEP_HEADER = ["v", "r", "lhv_violated", "min_excluded_separability"]
+_SWEEP_COLUMNS = (("v", "v", 15), ("r", "r", 15), ("lhv_violated", "lhv", 6),
+                  ("min_excluded_separability", "min_excluded_k", 15))
 
 
 def cmd_sweep(args):
@@ -344,22 +362,13 @@ def cmd_sweep(args):
     for v in np.linspace(args.vmin, args.vmax, args.steps):
         rep = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values))
         rows.append([float(v), rep.r, rep.lhv_violated, rep.min_excluded_separability])
-    if args.format == "json":
-        _emit_json({"rows": [dict(zip(_SWEEP_HEADER, row)) for row in rows]})
-    elif args.format == "csv":
-        _emit_csv(_SWEEP_HEADER, rows)
-    else:
-        sys.stdout.write("              v               r    lhv  min_excluded_k\n")
-        for v, r, lhv, mk in rows:
-            sys.stdout.write(
-                f"{_fmt(v):>15} {_fmt(r):>15} {_fmt(lhv):>6} {_fmt(mk) or '-':>15}\n"
-            )
+    _emit_table(args.format, _SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
-_ZOO_HEADER = [
-    "n", "k", "ghz_r", "r_k_sep_max", "ratio_to_next", "sampled_max_r", "sampled_within_bound",
-]
+_ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),
+                ("r_k_sep_max", "r_k_sep_max", 15), ("ratio_to_next", "ratio", 6),
+                ("sampled_max_r", "sampled_max_r", 15), ("sampled_within_bound", "within", 7))
 
 
 def _sampled_k_separable_profile(n, k, seed):
@@ -389,17 +398,7 @@ def cmd_zoo(args):
                 )
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
-    if args.format == "json":
-        _emit_json({"rows": [dict(zip(_ZOO_HEADER, row)) for row in rows]})
-    elif args.format == "csv":
-        _emit_csv(_ZOO_HEADER, rows)
-    else:
-        sys.stdout.write("  n  k           ghz_r     r_k_sep_max  ratio   sampled_max_r  within\n")
-        for n, k, g, t, ratio, s, w in rows:
-            sys.stdout.write(
-                f"{n:>3} {k:>2} {_fmt(g):>15} {_fmt(t):>15} {_fmt(ratio) or '-':>6} "
-                f"{_fmt(s) or '-':>15} {_fmt(w) or '-':>7}\n"
-            )
+    _emit_table(args.format, _ZOO_COLUMNS, rows)
     return EXIT_OK
 
 

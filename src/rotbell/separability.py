@@ -16,7 +16,6 @@ from .states import PartitionSpec, _check_k, _is_count
 
 __all__ = [
     "stirling_second",
-    "PartitionEnumeration",
     "enumerate_partitions",
     "sample_partition",
     "max_antidiagonal_bound",
@@ -28,11 +27,11 @@ __all__ = [
 MAX_ENUMERATION_QUBITS = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the cached (1, 1)
 def stirling_second(n, k):
     """Stirling number of the second kind S(n, k), exact integer."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    if not (_is_count(n, 0) and _is_count(k, 0)):
+        raise ValueError(f"n and k must be integers >= 0, got n={n!r}, k={k!r}")
     if n == 0 and k == 0:
         return 1
     if n == 0 or k == 0 or k > n:
@@ -66,40 +65,21 @@ def _rgs_to_partition(a):
     return PartitionSpec([blocks[label] for label in sorted(blocks)])
 
 
-class PartitionEnumeration:
-    """Lazily enumerated set partitions of {1..n} with at least k_min blocks.
-
-    Iteration order is the lexicographic order of restricted growth strings,
-    so it is canonical and reproducible.  ``count`` is the exact number of
-    partitions that will be produced, sum_{j >= k_min} S(n, j).
-    """
-
-    def __init__(self, n, k_min):
-        _check_k(n, k_min, "k_min")
-        if n > MAX_ENUMERATION_QUBITS:
-            raise ValueError(
-                f"exhaustive enumeration refused for n={n} > {MAX_ENUMERATION_QUBITS}; "
-                "use sample_partition instead"
-            )
-        self.n = int(n)
-        self.k_min = int(k_min)
-
-    @property
-    def count(self):
-        return sum(stirling_second(self.n, j) for j in range(self.k_min, self.n + 1))
-
-    def __iter__(self):
-        for a in _rgs_strings(self.n):
-            if max(a) + 1 >= self.k_min:
-                yield _rgs_to_partition(a)
-
-    def __repr__(self):
-        return f"PartitionEnumeration(n={self.n}, k_min={self.k_min})"
-
-
 def enumerate_partitions(n, k_min):
-    """All set partitions of {1..n} with at least k_min blocks (lazy)."""
-    return PartitionEnumeration(n, k_min)
+    """All set partitions of {1..n} with at least k_min blocks, as a one-pass iterator.
+
+    The arguments are checked on the call, before the first partition is
+    drawn.  Iteration order is the lexicographic order of restricted growth
+    strings, so it is canonical and reproducible.  The iterator yields
+    sum_{j >= k_min} S(n, j) partitions (see :func:`stirling_second`).
+    """
+    _check_k(n, k_min, "k_min")
+    if n > MAX_ENUMERATION_QUBITS:
+        raise ValueError(
+            f"exhaustive enumeration refused for n={n} > {MAX_ENUMERATION_QUBITS}; "
+            "use sample_partition instead"
+        )
+    return (_rgs_to_partition(a) for a in _rgs_strings(int(n)) if max(a) + 1 >= k_min)
 
 
 def sample_partition(n, k, rng):

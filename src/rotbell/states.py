@@ -177,6 +177,10 @@ class PartitionSpec:
     blocks: tuple
 
     def __init__(self, blocks):
+        blocks = [list(b) for b in blocks]
+        bad = [q for b in blocks for q in b if not _is_count(q)]
+        if bad:
+            raise ValueError(f"qubit label {bad[0]!r} out of range: labels are integers from 1")
         canon = tuple(tuple(sorted(int(q) for q in b)) for b in blocks)
         if not canon:
             raise ValueError("a partition needs at least one block")
@@ -185,8 +189,6 @@ class PartitionSpec:
             if not b:
                 raise ValueError("empty block in partition")
             for q in b:
-                if q < 1:
-                    raise ValueError(f"qubit label {q} out of range: labels start at 1")
                 if q in seen:
                     raise ValueError(f"qubit {q} appears in more than one block")
                 seen.add(q)
@@ -211,10 +213,6 @@ class PartitionSpec:
         """Nested-list wire form, e.g. [[1], [2, 3]]."""
         return [list(b) for b in self.blocks]
 
-    @classmethod
-    def from_lists(cls, lists):
-        return cls(lists)
-
     def __repr__(self):
         inner = "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return f"PartitionSpec({inner})"
@@ -230,16 +228,6 @@ def make_ghz(n):
     amps = np.zeros(_dim(n), dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(int(n), amps)
-
-
-def _permute_qubits_pure(amps, n, perm):
-    # perm[p] = source axis whose qubit becomes global qubit p+1
-    return amps.reshape((2,) * n).transpose(perm).reshape(-1)
-
-
-def _permute_qubits_density(mat, n, perm):
-    axes = list(perm) + [p + n for p in perm]
-    return mat.reshape((2,) * (2 * n)).transpose(axes).reshape(_dim(n), _dim(n))
 
 
 def tensor_product(states, assignment):
@@ -265,13 +253,12 @@ def tensor_product(states, assignment):
             )
     n = assignment.n_qubits
     order = [q for block in assignment.blocks for q in block]
-    perm = [order.index(p + 1) for p in range(n)]
-    if all(isinstance(st, PureState) for st in states):
-        joint = reduce(np.kron, [st.amplitudes for st in states])
-        return PureState(n, _permute_qubits_pure(joint, n, perm))
-    mats = [as_density(st).matrix for st in states]
-    joint = reduce(np.kron, mats)
-    return DensityMatrix(n, _permute_qubits_density(joint, n, perm))
+    perm = [order.index(p + 1) for p in range(n)]  # source axis of global qubit p+1
+    pure = all(isinstance(st, PureState) for st in states)
+    joint = reduce(np.kron, [st.amplitudes if pure else as_density(st).matrix for st in states])
+    axes = perm if pure else perm + [p + n for p in perm]  # a matrix permutes rows and columns
+    joint = joint.reshape((2,) * len(axes)).transpose(axes).reshape(joint.shape)
+    return PureState(n, joint) if pure else DensityMatrix(n, joint)
 
 
 def mix(components):
@@ -316,14 +303,18 @@ def add_white_noise(rho0, visibility):
 
 def random_pure_state(n, rng):
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     z = rng.standard_normal(_dim(n)) + 1j * rng.standard_normal(_dim(n))
     return PureState(n, z / np.linalg.norm(z))
 
 
 def random_density_matrix(n, rng, rank=None):
     """Random full-rank (or rank-limited) density matrix G G^dag / tr."""
+    _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
     d = _dim(n)
-    r = d if rank is None else int(rank)
+    r = d if rank is None else rank
+    if not (_is_count(r) and r <= d):
+        raise ValueError(f"need 1 <= rank <= {d}, got rank={rank!r}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = g @ g.conj().T
     return DensityMatrix(n, m / np.trace(m))

@@ -64,6 +64,8 @@ class WitnessReport:
 
 def violation_factor(norm_squared, e_max_value, n):
     """r = 4^-N ||E||^2 / E_max, with r = 0 for the correlation-free case E_max = 0."""
+    if not _is_count(n):
+        raise ValueError(f"invalid qubit count {n!r}")
     ns = float(norm_squared)
     em = float(e_max_value)
     if ns < 0 or em < 0:

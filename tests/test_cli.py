@@ -520,3 +520,31 @@ def test_analyze_ket_golden_output(case, fmt, capsys):
     golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]
+
+
+# ---------------------------------------------------------------------------
+# oracle paths pinned byte for byte: verify's product fixtures and every
+# analyze/ghz --oracle route through the brute-force cross-checks
+
+_GOLDEN_ORACLE_CASES = {
+    "verify-seed0": ("verify", "--seed", "0"),
+    **{f"ghz{n}-oracle": ("ghz", "--n", str(n), "--oracle") for n in range(1, 6)},
+    "pure4-oracle": ("analyze", "--input", "pure4.json", "--oracle"),
+    "mixed3-oracle": ("analyze", "--input", "dens3.json", "--oracle"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN_ORACLE_CASES))
+def test_oracle_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
+    files = {
+        "pure4": random_pure_state(4, np.random.default_rng(11)),
+        "dens3": random_density_matrix(3, np.random.default_rng(5)),
+    }
+    for name, state in files.items():
+        Path(f"{name}.json").write_text(json.dumps(state_to_json(state)))
+    code, out, _ = run_cli(capsys, *_GOLDEN_ORACLE_CASES[case], "--format", fmt)
+    golden = json.loads((GOLDEN / "oracle.json").read_text())
+    assert code == 0
+    assert out == golden[f"{case} {fmt}"]

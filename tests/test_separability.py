@@ -19,7 +19,7 @@ from rotbell.states import (
     sample_product_terms,
     tensor_product,
 )
-from rotbell.witness import k_sep_threshold, max_violation_bound
+from rotbell.witness import k_sep_threshold, max_violation_bound, violation_factor
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -54,7 +54,7 @@ def test_enumerate_n3_kmin2():
 
 def test_enumerate_n4_kmin2_count():
     assert len(list(enumerate_partitions(4, 2))) == 14
-    assert enumerate_partitions(4, 2).count == 14
+    assert sum(stirling_second(4, j) for j in range(2, 5)) == 14
 
 
 def test_enumerate_n2():
@@ -66,9 +66,8 @@ def test_enumerate_n2():
 def test_enumerate_counts_match_stirling_sums():
     for n in range(1, 9):
         for k_min in range(1, n + 1):
-            enum = enumerate_partitions(n, k_min)
-            produced = list(enum)
-            assert len(produced) == enum.count
+            produced = list(enumerate_partitions(n, k_min))
+            assert len(produced) == sum(stirling_second(n, j) for j in range(k_min, n + 1))
             assert len({p.as_set() for p in produced}) == len(produced)
             assert all(p.k >= k_min for p in produced)
 
@@ -122,10 +121,42 @@ def test_numpy_integer_counts_are_accepted():
     n, k = np.int64(3), np.int64(2)
     assert k_sep_threshold(n, k) == k_sep_threshold(3, 2)
     assert max_violation_bound(n) == max_violation_bound(3)
-    assert enumerate_partitions(n, k).count == 4
+    assert len(list(enumerate_partitions(n, k))) == 4
     assert sample_partition(n, k, np.random.default_rng(0)).k == 2
     assert len(sample_product_terms(n, k, 2, rng_seed=0)) == 2
     assert max_antidiagonal_bound(k) == 0.25
+
+
+@pytest.mark.parametrize("bad", [True, 2.7, np.float64(2.0)])
+def test_one_count_rule_for_labels_stirling_and_violation_factor(bad):
+    stirling_second(1, 1)  # a cached (1, 1) must not answer for (True, True)
+    refused = [
+        lambda: violation_factor(1.0, 1.0, bad),
+        lambda: stirling_second(bad, 1),
+        lambda: stirling_second(3, bad),
+        lambda: stirling_second(bad, bad),
+        lambda: PartitionSpec([[bad], [2]]),
+        lambda: PartitionSpec([[1], [bad]]),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_count_rule_bounds_and_numpy_integers_for_labels_stirling_and_violation_factor():
+    for call in (
+        lambda: violation_factor(1.0, 1.0, 0),
+        lambda: stirling_second(-1, 0),
+        lambda: stirling_second(0, -1),
+        lambda: PartitionSpec([[0], [1]]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert stirling_second(0, 0) == 1 and stirling_second(2, 0) == 0
+    assert stirling_second(np.int64(4), np.int64(2)) == 7
+    assert violation_factor(1.0, 1.0, np.int64(1)) == violation_factor(1.0, 1.0, 1) == 0.25
+    spec = PartitionSpec([[np.int64(2)], [np.int64(1), 3]])
+    assert spec.blocks == ((2,), (1, 3)) and all(type(q) is int for b in spec.blocks for q in b)
 
 
 def test_sample_partition_block_count_and_cover():

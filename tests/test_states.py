@@ -322,6 +322,40 @@ def test_dense_constructors_check_cap_first():
         make_ghz(14).to_density()
 
 
+class _NoDraws:
+    """A generator that refuses every draw, so nothing large is ever sampled."""
+
+    def standard_normal(self, size=None):
+        raise AssertionError(f"drew normals of size {size} before checking the arguments")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda rng: random_pure_state(27, rng), "pure-state cap"),
+        (lambda rng: random_pure_state(True, rng), "qubit count"),
+        (lambda rng: random_density_matrix(14, rng), "dense-matrix cap"),
+        (lambda rng: random_density_matrix(2.0, rng), "qubit count"),
+        (lambda rng: random_density_matrix(2, rng, rank=0), "rank"),
+        (lambda rng: random_density_matrix(2, rng, rank=2.5), "rank"),
+        (lambda rng: random_density_matrix(2, rng, rank=5), "rank"),
+        (lambda rng: random_density_matrix(2, rng, rank=True), "rank"),
+    ],
+    ids=["pure-27", "pure-bool", "dense-14", "dense-float", "rank-0", "rank-2.5", "rank-5",
+         "rank-bool"],
+)
+def test_samplers_check_arguments_before_drawing(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(_NoDraws())
+
+
+def test_sampler_rank_accepts_numpy_integers_with_the_same_stream():
+    a = random_density_matrix(3, np.random.default_rng(0), rank=2)
+    b = random_density_matrix(3, np.random.default_rng(0), rank=np.int64(2))
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.linalg.matrix_rank(a.matrix, tol=1e-10) == 2
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -339,7 +373,7 @@ def test_partition_spec_validation():
 
 
 def test_partition_spec_wire_format():
-    p = PartitionSpec.from_lists([[1], [2, 3]])
+    p = PartitionSpec([[1], [2, 3]])
     assert p.to_lists() == [[1], [2, 3]]
     assert p.as_set() == frozenset({frozenset({1}), frozenset({2, 3})})
 
