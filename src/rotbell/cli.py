@@ -237,13 +237,8 @@ def _print_report_text(report, meta=None):
     out = []
     if meta and meta.get("normalization_applied"):
         out.append(f"note: input renormalized (raw norm {_fmt(meta['input_norm'])})")
-    out.append(f"n_qubits: {report.n_qubits}")
-    out.append(f"e_max: {_fmt(report.e_max)}")
-    out.append(f"norm_squared: {_fmt(report.norm_squared)}")
-    out.append(f"r: {_fmt(report.r)}")
-    out.append(f"max_possible_r: {_fmt(report.max_possible_r)}")
-    out.append(f"lhv_violated: {_fmt(report.lhv_violated)}")
-    out.append(f"critical_visibility: {_fmt(report.critical_visibility) or 'n/a'}")
+    for name in _ANALYZE_CSV_HEADER[:7]:  # only critical_visibility can be None
+        out.append(f"{name}: {_fmt(getattr(report, name)) or 'n/a'}")
     if report.thresholds:
         out.append("separability ladder (strict exclusion):")
         for t in report.thresholds:
@@ -256,14 +251,11 @@ def _print_report_text(report, meta=None):
 
 
 def _report_csv_rows(report):
-    scalars = [
-        report.n_qubits, report.e_max, report.norm_squared, report.r,
-        report.max_possible_r, report.lhv_violated, report.critical_visibility,
-        report.min_excluded_separability,
-    ]
+    scalars = [getattr(report, h) for h in _ANALYZE_CSV_HEADER[:8]]
+    rung_fields = _ANALYZE_CSV_HEADER[8:]
     if not report.thresholds:
-        return [scalars + [None, None, None, None]]
-    return [scalars + [t.k, t.r_k_max, t.margin, t.excluded] for t in report.thresholds]
+        return [scalars + [None] * len(rung_fields)]
+    return [scalars + [getattr(t, h) for h in rung_fields] for t in report.thresholds]
 
 
 def _report_state(state, args, gated, meta=None, details=None):
@@ -297,11 +289,14 @@ def _attainment(rep, gated):
     return "attained" if rep.attainability_ok else ("NOT ATTAINED" if gated else "gap reported")
 
 
+def _oracle_numbers(rep):
+    return (f"trace={_fmt(rep.trace_max_abs_diff)} dual={_fmt(rep.dual_norm_rel_diff)} "
+            f"quad={_fmt(rep.quadrature_rel_diff)} gap={_fmt(rep.grid_gap)}")
+
+
 def _print_oracle_text(name, rep, gated):
     sys.stdout.write(
-        f"oracle {name}: trace={_fmt(rep.trace_max_abs_diff)} "
-        f"dual={_fmt(rep.dual_norm_rel_diff)} quad={_fmt(rep.quadrature_rel_diff)} "
-        f"gap={_fmt(rep.grid_gap)} [{_attainment(rep, gated)}] "
+        f"oracle {name}: {_oracle_numbers(rep)} [{_attainment(rep, gated)}] "
         f"-> {'ok' if rep.passes(gated) else 'FAIL'}\n"
     )
 
@@ -315,11 +310,7 @@ _ORACLE_CSV_HEADER = [
 
 def _emit_oracle_csv(entries):
     rows = [
-        [
-            name, rep.n_qubits, rep.trace_max_abs_diff, rep.dual_norm_rel_diff,
-            rep.quadrature_rel_diff, rep.e_max, rep.grid_value, rep.grid_gap,
-            rep.identity_ok, gated, rep.attainability_ok,
-        ]
+        [name, *(getattr(rep, h) for h in _ORACLE_CSV_HEADER[1:9]), gated, rep.attainability_ok]
         for name, rep, gated in entries
     ]
     _emit_csv(_ORACLE_CSV_HEADER, rows)
@@ -471,9 +462,7 @@ def cmd_verify(args):
         for name, rep, gated in entries:
             sys.stdout.write(
                 f"[{'ok' if rep.passes(gated) else 'FAIL':>4}] {name:<22} n={rep.n_qubits} "
-                f"trace={_fmt(rep.trace_max_abs_diff)} dual={_fmt(rep.dual_norm_rel_diff)} "
-                f"quad={_fmt(rep.quadrature_rel_diff)} gap={_fmt(rep.grid_gap)} "
-                f"({_attainment(rep, gated)})\n"
+                f"{_oracle_numbers(rep)} ({_attainment(rep, gated)})\n"
             )
         sys.stdout.write(
             f"summary: {len(entries)} fixtures, {len(entries) - failures} ok, "

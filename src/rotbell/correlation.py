@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, PureState
-from .states import _check_qubits, _freeze_array
+from .states import _check_qubits, _freeze_array, _to_pairs
 
 __all__ = [
     "AntidiagonalProfile",
@@ -76,7 +76,7 @@ class AntidiagonalProfile:
 
     def to_json(self):
         """[re, im] pairs in index order (k2..kN packed big-endian)."""
-        return [[v.real, v.imag] for v in self.values]
+        return _to_pairs(self.values)
 
     def __repr__(self):
         return f"AntidiagonalProfile(n_qubits={self.n_qubits})"
@@ -126,12 +126,12 @@ def _evaluate(prof, phases):
 def _check_angles(angles, n, values_at):
     """The one angle rule, shared by every pointwise route to E.
 
-    ``angles`` is one setting of shape (N,) or a stack of S settings of shape
-    (S, N), all finite.  ``values_at`` maps the (S, N) stack to S values; one
-    setting gets a float back, a stack an (S,) float array.
+    ``angles`` is one setting of shape (N,) or a stack of S >= 1 settings of
+    shape (S, N), all finite.  ``values_at`` maps the (S, N) stack to S values;
+    one setting gets a float back, a stack an (S,) float array.
     """
     a = np.asarray(angles, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != n:
+    if a.ndim not in (1, 2) or a.shape[-1] != n or a.size == 0:
         raise ValueError(f"expected {n} angles or an (S, {n}) stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("angles contain NaN or Inf")

@@ -39,23 +39,14 @@ def stirling_second(n, k):
     return k * stirling_second(n - 1, k) + stirling_second(n - 1, k - 1)
 
 
-def _rgs_strings(n):
-    # Restricted growth strings a[0..n-1] in lexicographic order:
-    # a[0] = 0 and a[i] <= max(a[0..i-1]) + 1.
-    a = [0] * n
-    mx = [0] * n  # mx[i] = max(a[0..i]) maintained incrementally
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] == mx[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        mx[i] = max(mx[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            mx[j] = mx[j - 1]
+def _rgs_strings(n, prefix=(0,)):
+    # Restricted growth strings a[0..n-1] in lexicographic order: a[0] = 0 and
+    # a[i] <= max(a[0..i-1]) + 1.  Recursion depth is n <= MAX_ENUMERATION_QUBITS.
+    if len(prefix) == n:
+        yield prefix
+    else:
+        for label in range(max(prefix) + 2):
+            yield from _rgs_strings(n, prefix + (label,))
 
 
 def _rgs_to_partition(a):

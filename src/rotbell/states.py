@@ -113,11 +113,6 @@ class PureState:
     def dim(self):
         return _dim(self.n_qubits)
 
-    def to_density(self):
-        """Dense projector |psi><psi| (subject to the dense-matrix qubit cap)."""
-        _check_qubits(self.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def __repr__(self):
         return f"PureState(n_qubits={self.n_qubits})"
 
@@ -162,11 +157,12 @@ State = PureState | DensityMatrix
 
 
 def as_density(state):
-    """Coerce a PureState to its projector; pass a DensityMatrix through."""
+    """Coerce a PureState to its projector (dense-matrix cap); pass a DensityMatrix through."""
     if isinstance(state, DensityMatrix):
         return state
     if isinstance(state, PureState):
-        return state.to_density()
+        _check_qubits(state.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
+        return DensityMatrix(state.n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -273,12 +269,12 @@ def mix(components):
     n = components[0][1].n_qubits
     total = 0.0
     for w, rho in components:
-        if w < 0:
-            raise ValueError(f"negative mixture weight {w}")
+        if not w >= 0:  # written so that NaN is refused too
+            raise ValueError(f"negative or NaN mixture weight {w}")
         if rho.n_qubits != n:
             raise ValueError("mixture components act on different qubit counts")
         total += w
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"mixture weights sum to {total!r}, expected 1")
     acc = np.zeros((_dim(n), _dim(n)), dtype=complex)
     for w, rho in components:
@@ -458,42 +454,33 @@ def parse_ket(expression):
     return parse_ket_info(expression).state
 
 
-def render_ket(state, cutoff=0.0):
-    """Ket expression for ``state``, one term per amplitude with |a| > cutoff.
+def render_ket(state):
+    """Ket expression for ``state``, one term per nonzero amplitude.
 
     The output round-trips through :func:`parse_ket` to the same state (up to
     renormalization noise below 1e-10 per amplitude).
     """
-    parts = []
     n = state.n_qubits
-    for idx, a in enumerate(state.amplitudes):
-        if abs(a) <= cutoff:
-            continue
-        bits = format(idx, f"0{n}b")
-        parts.append(f"({float(a.real)!r}+{float(a.imag)!r}i)*|{bits}>".replace("+-", "-"))
-    if not parts:
-        raise ValueError("state has no amplitudes above the cutoff")
-    return " + ".join(parts)
+    return " + ".join(
+        f"({float(a.real)!r}+{float(a.imag)!r}i)*|{idx:0{n}b}>".replace("+-", "-")
+        for idx, a in enumerate(state.amplitudes) if a != 0
+    )
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 
 
+def _to_pairs(arr):
+    """The one [re, im] encoding of a complex array: nested lists with a trailing pair axis."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
 def state_to_json(state):
     """Wire-format dict: pure states as [re, im] pairs, densities as nested rows."""
-    if isinstance(state, PureState):
-        return {
-            "n": state.n_qubits,
-            "kind": "pure",
-            "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
-        }
-    if isinstance(state, DensityMatrix):
-        return {
-            "n": state.n_qubits,
-            "kind": "density",
-            "matrix": [[[e.real, e.imag] for e in row] for row in state.matrix],
-        }
+    for kind, (payload, _, cls) in _JSON_KINDS.items():
+        if isinstance(state, cls):
+            return {"n": state.n_qubits, "kind": kind, payload: _to_pairs(getattr(state, payload))}
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 

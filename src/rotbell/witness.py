@@ -84,10 +84,8 @@ def k_sep_threshold(n, k):
 
 
 def max_violation_bound(n):
-    """Global maximum (1/2) (pi/2)^n of the violation factor, saturated by GHZ states."""
-    if not _is_count(n):
-        raise ValueError(f"invalid qubit count {n!r}")
-    return float(0.5 * (np.pi / 2.0) ** n)
+    """Global maximum (1/2) (pi/2)^n of r, saturated by GHZ states: the ladder's k = 1 rung."""
+    return k_sep_threshold(n, 1)
 
 
 def critical_visibility(r):

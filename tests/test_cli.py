@@ -19,6 +19,7 @@ from rotbell.states import (
     parse_ket,
     random_density_matrix,
     random_pure_state,
+    render_ket,
     state_to_json,
 )
 
@@ -548,3 +549,44 @@ def test_oracle_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     golden = json.loads((GOLDEN / "oracle.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]
+
+
+# ---------------------------------------------------------------------------
+# wire format pinned byte for byte: the [re, im] pairs of state_to_json, the
+# terms of render_ket, and the --details profile and tensor of file input
+
+_WIRE_STATES = {
+    **{f"pure{n}": random_pure_state(n, np.random.default_rng((23, n))) for n in range(1, 5)},
+    **{f"density{n}": random_density_matrix(n, np.random.default_rng((29, n)))
+       for n in range(1, 4)},
+    "signed-zeros": PureState(2, [complex(0.6, -0.0), complex(-0.0, 0.0),
+                                  complex(-0.0, -0.0), complex(-0.0, -0.8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIRE_STATES))
+def test_state_to_json_golden_output(name):
+    golden = json.loads((GOLDEN / "wire.json").read_text())
+    assert json.dumps(state_to_json(_WIRE_STATES[name])) == golden[f"json {name}"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _WIRE_STATES if not n.startswith("density")))
+def test_render_ket_golden_output(name):
+    golden = json.loads((GOLDEN / "wire.json").read_text())
+    assert render_ket(_WIRE_STATES[name]) == golden[f"ket {name}"]
+
+
+@pytest.mark.parametrize("name", ["pure4", "dens3"])
+def test_analyze_file_details_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
+    files = {
+        "pure4": random_pure_state(4, np.random.default_rng(11)),
+        "dens3": random_density_matrix(3, np.random.default_rng(5)),
+    }
+    Path(f"{name}.json").write_text(json.dumps(state_to_json(files[name])))
+    code, out, _ = run_cli(
+        capsys, "analyze", "--input", f"{name}.json", "--details", "--format", "json"
+    )
+    golden = json.loads((GOLDEN / "wire.json").read_text())
+    assert code == 0
+    assert out == golden[f"details {name}"]

@@ -200,6 +200,13 @@ def test_angle_shapes_outside_the_stack_contract_are_refused(route):
 
 
 @pytest.mark.parametrize("route", ["profile", "trace", "tensor"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_empty_settings_stack_is_refused(route, n):
+    with pytest.raises(ValueError, match="angles"):
+        _routes(make_ghz(n))[route](np.zeros((0, n)))
+
+
+@pytest.mark.parametrize("route", ["profile", "trace", "tensor"])
 def test_one_setting_gives_a_float_and_a_stack_an_array(route):
     evaluate = _routes(make_ghz(3))[route]
     single = evaluate([0.1, 0.2, 0.3])

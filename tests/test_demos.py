@@ -1,5 +1,6 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree and prints its pinned output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -19,3 +20,17 @@ def test_demo_exits_0(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_output_matches_golden(demo):
+    """Each demo prints the pinned text and raises no warning (run under ``-W error``)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((ROOT / "tests" / "golden" / "demos.json").read_text())
+    assert proc.stdout == golden[demo.name]

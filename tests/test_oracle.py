@@ -206,6 +206,20 @@ def test_cross_validate_rejects_large_n():
         cross_validate(make_ghz(7))
 
 
+def test_cross_validate_refuses_a_profile():
+    with pytest.raises(TypeError, match="needs a state"):
+        cross_validate(antidiagonal_profile(make_ghz(3)))
+
+
+def test_cross_validate_refuses_n7_before_any_check(monkeypatch):
+    def never(state, angles):
+        raise AssertionError("the trace check ran before the size refusal")
+
+    monkeypatch.setattr(oracle_mod, "correlation_value_trace", never)
+    with pytest.raises(ValueError, match="n=7 > 6"):
+        cross_validate(random_pure_state(7, np.random.default_rng(0)))
+
+
 def test_cross_validate_detects_sign_mutation(monkeypatch):
     # regression guard: a flipped sign in the antidiagonal evaluation path must
     # trip the trace-equivalence check

@@ -226,6 +226,13 @@ def test_mix_rejects_bad_weights():
         mix([(0.5, rho), (0.5, DensityMatrix.maximally_mixed(2))])
 
 
+@pytest.mark.parametrize("weights", [[np.nan], [np.nan, 0.5], [0.5, np.nan], [0.5, 0.5, np.nan]])
+def test_mix_refuses_nan_weights(weights):
+    rho = DensityMatrix.maximally_mixed(1)
+    with pytest.raises(ValueError, match="weight"):
+        mix([(w, rho) for w in weights])
+
+
 def test_add_white_noise_extremes():
     rho = as_density(make_ghz(2))
     assert np.allclose(add_white_noise(rho, 1.0).matrix, rho.matrix)
@@ -319,7 +326,7 @@ def test_dense_constructors_check_cap_first():
     with pytest.raises(ValueError, match="dense-matrix cap"):
         DensityMatrix.maximally_mixed(40)
     with pytest.raises(ValueError, match="dense-matrix cap"):
-        make_ghz(14).to_density()
+        as_density(make_ghz(14))
 
 
 class _NoDraws:
