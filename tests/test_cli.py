@@ -523,6 +523,35 @@ def test_analyze_ket_golden_output(case, fmt, capsys):
     assert out == golden[f"{case} {fmt}"]
 
 
+def _large_golden_kets(n):
+    """GHZ-type, W-type and 4-pair complement-closed kets on n >= 5 qubits."""
+    full = (1 << n) - 1
+    lo = ["(0.3+0.7i)", "(0.5-0.1i)", "(-0.2+0.9i)", "(1.1+0.4i)"]
+    hi = ["(-1.2+0.4i)", "(0.8+0.3i)", "(0.25-0.6i)", "(-0.7-0.9i)"]
+    xs = [1, 6, 1 << (n - 3), (1 << (n - 2)) | 3]
+    return {
+        "ghz-type": f"(0.6+0.2i)*|{0:0{n}b}> + (-0.3+0.7i)*|{full:0{n}b}>",
+        "w": " + ".join(f"({1 + j % 4}-0.{j % 7 + 1}i)*|{1 << j:0{n}b}>" for j in range(n)),
+        "complement-closed": " + ".join(
+            f"{a}*|{x:0{n}b}> + {b}*|{full ^ x:0{n}b}>" for a, b, x in zip(lo, hi, xs)
+        ),
+    }
+
+
+_GOLDEN_LARGE_KETS = {
+    f"{name}-n{n}": ket for n in (12, 20) for name, ket in _large_golden_kets(n).items()
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN_LARGE_KETS))
+def test_analyze_large_ket_golden_output(case, fmt, capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--ket", _GOLDEN_LARGE_KETS[case], "--format", fmt)
+    golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
+    assert code == 0
+    assert out == golden[f"{case} {fmt}"]
+
+
 # ---------------------------------------------------------------------------
 # oracle paths pinned byte for byte: verify's product fixtures and every
 # analyze/ghz --oracle route through the brute-force cross-checks
