@@ -21,6 +21,7 @@ from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
+    KetParse,
     PureState,
     make_ghz,
     parse_ket,
@@ -187,6 +188,11 @@ def _read_capped(fh):
 
 
 def _load_state(args):
+    """The state named by --ket or --input, with its input metadata.
+
+    A ket comes back as its ``KetParse``: everything but the oracle runs on
+    its sparse profile, so the 2^N amplitude vector is built only on demand.
+    """
     if args.ket is not None:
         info = parse_ket_info(args.ket)
         meta = {
@@ -194,7 +200,7 @@ def _load_state(args):
             "normalization_applied": info.normalized,
             "input_norm": info.input_norm,
         }
-        return info.state, meta
+        return info, meta
     if args.input == "-":
         text = _read_capped(sys.stdin)
         source = "stdin"
@@ -261,7 +267,10 @@ def _report_csv_rows(report):
 def _report_state(state, args, gated, meta=None, details=None):
     """Classify, cross-check on request, print; ``gated``: is a gap below e_max a failure?"""
     report = classify(state)
-    oracle_report = cross_validate(state, config=_ORACLE_CONFIG) if args.oracle else None
+    oracle_report = None
+    if args.oracle:  # the brute-force checks need the amplitudes themselves
+        dense = state.state if isinstance(state, KetParse) else state
+        oracle_report = cross_validate(dense, config=_ORACLE_CONFIG)
     fmt = args.format
     if fmt == "json":
         payload = {"report": report.to_dict()}
@@ -324,9 +333,10 @@ def cmd_analyze(args):
     state, meta = _load_state(args)
     details = None
     if args.details and args.format == "json":  # only the json report prints them
+        prof = antidiagonal_profile(state)
         details = {
-            "antidiagonal_profile": antidiagonal_profile(state).to_json(),
-            "correlation_tensor": correlation_tensor(state).to_json(),
+            "antidiagonal_profile": prof.to_json(),
+            "correlation_tensor": correlation_tensor(prof).to_json(),
         }
     # arbitrary states: a generic N >= 3 state has a real gap, which is data
     return _report_state(state, args, gated=False, meta=meta, details=details)
@@ -351,7 +361,7 @@ def cmd_sweep(args):
     prof = antidiagonal_profile(state)
     rows = []
     for v in np.linspace(args.vmin, args.vmax, args.steps):
-        rep = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values))
+        rep = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values, prof.index))
         rows.append([float(v), rep.r, rep.lhv_violated, rep.min_excluded_separability])
     _emit_table(args.format, _SWEEP_COLUMNS, rows)
     return EXIT_OK

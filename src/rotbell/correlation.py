@@ -18,6 +18,15 @@ From that form follow the closed expressions for the maximum
 against the direct operator trace (see ``correlation_value_trace``), which is
 the reference implementation for all of them.
 
+A profile is dense (all 2^(N-1) elements) or sparse (the elements at a
+strictly increasing ``index``, every other one zero).  Profiles of a
+PureState or a DensityMatrix are dense; the profile of a parsed ket
+(``KetParse``) is sparse, with at most one element per named term, so
+``analyze --ket`` never builds the 2^N amplitude vector.  The moduli sums
+read the stored elements as they are; the consumers that need positions (the
+evaluation of E, the tensor, ``to_json`` and the two-qubit maximizer) read
+the full vector from the one scatter, ``AntidiagonalProfile.full_values``.
+
 Note on E_max: it is always an upper bound for E, and it is attained for
 N <= 2, for GHZ-like profiles, and for products of blocks of at most two
 qubits.  For N >= 3 a generic entangled state leaves a strict gap: reaching
@@ -31,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, PureState
-from .states import _check_qubits, _freeze_array, _to_pairs
+from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, KetParse, PureState
+from .states import _check_qubits, _freeze_array, _freeze_index, _to_pairs
 
 __all__ = [
     "AntidiagonalProfile",
@@ -61,22 +70,36 @@ class AntidiagonalProfile:
 
     This vector is the sufficient statistic for every planar-correlation
     quantity in this package.  For any valid density matrix each modulus is
-    at most 1/2.
+    at most 1/2.  With ``index`` None the profile is dense and ``values``
+    holds all 2^(N-1) elements; otherwise ``values[i]`` is the element at
+    position ``index[i]`` (strictly increasing, within [0, 2^(N-1))) and
+    every other element is zero.
     """
 
     n_qubits: int
     values: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
-        vals = _freeze_array(self, "values", complex, (1 << (self.n_qubits - 1),), "profile")
-        big = float(np.max(np.abs(vals)))
+        half = 1 << (self.n_qubits - 1)
+        size = half if self.index is None else _freeze_index(self, half, "profile index").size
+        vals = _freeze_array(self, "values", complex, (size,), "profile")
+        big = float(np.abs(vals).max(initial=0.0))
         if big > 0.5 + ANTIDIAG_BOUND_TOL:
             raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
 
+    def full_values(self):
+        """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros."""
+        if self.index is None:
+            return self.values
+        full = np.zeros(1 << (self.n_qubits - 1), dtype=complex)
+        full[self.index] = self.values
+        return full
+
     def to_json(self):
-        """[re, im] pairs in index order (k2..kN packed big-endian)."""
-        return _to_pairs(self.values)
+        """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""
+        return _to_pairs(self.full_values())
 
     def __repr__(self):
         return f"AntidiagonalProfile(n_qubits={self.n_qubits})"
@@ -115,7 +138,7 @@ def _evaluate(prof, phases):
     Each step turns the leading bit axis into a trailing setting axis, so the
     grid axes come out in qubit order.  Qubit 1 always enters with +alpha_1.
     """
-    acc = prof.values[None]
+    acc = prof.full_values()[None]
     for ph in phases[1:]:
         acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ np.stack([ph, np.conj(ph)], axis=1)
     acc = acc.reshape([len(acc)] + [ph.shape[1] for ph in phases[1:]])
@@ -140,14 +163,26 @@ def _check_angles(angles, n, values_at):
 
 
 def antidiagonal_profile(state):
-    """Extract the antidiagonal profile of a pure or mixed state.
+    """Extract the antidiagonal profile of a pure or mixed state or a parsed ket.
 
     For a pure state the element at k is ``psi[0 k] * conj(psi[1 ~k])``,
     computed in O(2^N) without ever materializing the density matrix.  A
+    ``KetParse`` gives a sparse profile from its T named terms in
+    O(T log T): each named x meets its complement ~x in the element at the
+    one of them whose top bit is 0, with 0 for a partner that is not named,
+    so each stored element is the dense route's product of the same two
+    numbers.  A
     profile is returned unchanged, so every function below accepts one.
     """
     if isinstance(state, AntidiagonalProfile):
         return state
+    if isinstance(state, KetParse):
+        full = (1 << state.n_qubits) - 1
+        amp = dict(zip(state.index.tolist(), state.amplitudes.tolist()))
+        pos = sorted({min(x, full - x) for x in amp})
+        lo = np.array([amp.get(k, 0j) for k in pos], dtype=complex)
+        hi = np.array([amp.get(full - k, 0j) for k in pos], dtype=complex)
+        return AntidiagonalProfile(state.n_qubits, lo * np.conj(hi), pos)
     if isinstance(state, PureState):
         psi = state.amplitudes
         half = state.dim // 2
@@ -157,7 +192,9 @@ def antidiagonal_profile(state):
         half = state.dim // 2
         vals = np.fliplr(state.matrix).diagonal()[:half]
         return AntidiagonalProfile(state.n_qubits, vals)
-    raise TypeError(f"expected a state or an AntidiagonalProfile, got {type(state).__name__}")
+    raise TypeError(
+        f"expected a state, a KetParse or an AntidiagonalProfile, got {type(state).__name__}"
+    )
 
 
 def correlation_value(state, angles):
@@ -239,7 +276,7 @@ def e_max(state):
     profiles (see the module docstring for the generic N >= 3 caveat).
     """
     prof = antidiagonal_profile(state)
-    return float(2.0 * np.sum(np.abs(prof.values)))
+    return float(2.0 * np.abs(prof.values).sum())
 
 
 def optimal_angles_two_qubit(state):
@@ -253,7 +290,7 @@ def optimal_angles_two_qubit(state):
     prof = antidiagonal_profile(state)
     if prof.n_qubits != 2:
         raise ValueError(f"defined for exactly 2 qubits, got {prof.n_qubits}")
-    v0, v1 = prof.values
+    v0, v1 = prof.full_values()
     if v0 == 0 and v1 == 0:
         raise ValueError("all antidiagonal elements vanish: no maximizer is distinguished")
     phi0 = float(np.angle(v0)) if v0 != 0 else 0.0
@@ -265,7 +302,7 @@ def norm_squared_antidiagonal(state):
     """||E||^2 = 2 (2 pi)^N sum |rho_ad|^2 over the [0, 2pi)^N angle hypercube."""
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
-    return float(2.0 * (2.0 * np.pi) ** n * np.sum(np.abs(prof.values) ** 2))
+    return float(2.0 * (2.0 * np.pi) ** n * (np.abs(prof.values) ** 2).sum())
 
 
 def norm_squared_tensor(tensor):

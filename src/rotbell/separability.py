@@ -130,6 +130,6 @@ def verify_antidiagonal_bound(state, partition):
         raise ValueError(
             f"state has {prof.n_qubits} qubits, partition covers {partition.n_qubits}"
         )
-    max_modulus = float(np.max(np.abs(prof.values)))
+    max_modulus = float(np.abs(prof.values).max(initial=0.0))
     bound = max_antidiagonal_bound(partition.k)
     return max_modulus, max_modulus <= bound + ANTIDIAG_BOUND_TOL

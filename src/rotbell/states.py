@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -87,12 +87,30 @@ def _freeze_array(obj, field, dtype, shape, what):
             raise ValueError(f"{what} has length {arr.size}, expected {shape[0]}")
     elif arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():  # integers are always finite
         raise ValueError(f"{what} contains NaN or Inf")
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     object.__setattr__(obj, "n_qubits", int(obj.n_qubits))
     return arr
+
+
+def _freeze_index(obj, bound, what):
+    """Freeze ``obj.index`` as int64 positions, strictly increasing within [0, bound)."""
+    idx = np.asarray(obj.index)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must be a one-dimensional array of integers")
+    idx = _freeze_array(obj, "index", np.int64, (idx.size,), what)
+    if idx.size and not (idx[0] >= 0 and idx[-1] < bound and (idx[1:] > idx[:-1]).all()):
+        raise ValueError(f"{what} must be strictly increasing within [0, {bound})")
+    return idx
+
+
+def _check_unit_norm(amps):
+    """The one normalization rule for amplitudes, dense or named."""
+    nrm2 = float(np.vdot(amps, amps).real)
+    if abs(nrm2 - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -105,9 +123,7 @@ class PureState:
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
         amps = _freeze_array(self, "amplitudes", complex, (_dim(self.n_qubits),), "amplitude vector")
-        nrm2 = float(np.vdot(amps, amps).real)
-        if abs(nrm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
+        _check_unit_norm(amps)
 
     @property
     def dim(self):
@@ -363,13 +379,37 @@ _TERM = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class KetParse:
-    """Parse result: the normalized state plus how far the raw norm was from 1."""
+    """Parse result: the normalized named terms plus how far the raw norm was from 1.
 
-    state: PureState
+    ``index`` lists the named basis indices in increasing order and
+    ``amplitudes`` their normalized sums; every other amplitude is zero.
+    Validated like a PureState (finite, unit norm within ``NORM_TOL``), but
+    over the named terms only.  ``state`` places them into a dense PureState
+    on first use.
+    """
+
+    n_qubits: int
+    index: np.ndarray
+    amplitudes: np.ndarray
     input_norm: float
     normalized: bool
+
+    def __post_init__(self):
+        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        idx = _freeze_index(self, _dim(self.n_qubits), "ket index")
+        _check_unit_norm(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
+
+    @cached_property
+    def state(self):
+        """The dense PureState of the named terms, built once."""
+        amps = np.zeros(_dim(self.n_qubits), dtype=complex)
+        amps[self.index] = self.amplitudes
+        return PureState(self.n_qubits, amps)
+
+    def __repr__(self):
+        return f"KetParse(n_qubits={self.n_qubits}, terms={self.index.size})"
 
 
 def parse_ket_info(expression):
@@ -391,8 +431,8 @@ def parse_ket_info(expression):
     and imaginary parts may each carry their own.  The coefficients of a
     repeated basis state are summed in text order.  Normalization runs over
     the named terms only: their sums are scaled by a power of two, so that
-    neither huge nor tiny coefficients overflow or underflow, divided by their
-    norm, and placed into an otherwise zero amplitude vector.  ``input_norm``
+    neither huge nor tiny coefficients overflow or underflow, and divided by
+    their norm; no 2^N vector is built (see :class:`KetParse`).  ``input_norm``
     is the norm of the unscaled sums, and ``normalized`` is True when it
     deviated from 1 by more than 1e-10.
     """
@@ -443,10 +483,8 @@ def parse_ket_info(expression):
     nrm = float(np.linalg.norm(vals))
     with np.errstate(over="ignore"):
         input_norm = float(np.ldexp(nrm, exp))
-    amps = np.zeros(_dim(n), dtype=complex)
-    amps[named] = vals / nrm
-    state = PureState(n, amps)
-    return KetParse(state=state, input_norm=input_norm, normalized=abs(input_norm - 1.0) > NORM_TOL)
+    return KetParse(n, np.array(named, dtype=np.int64), vals / nrm, input_norm,
+                    abs(input_norm - 1.0) > NORM_TOL)
 
 
 def parse_ket(expression):
@@ -460,6 +498,8 @@ def render_ket(state):
     The output round-trips through :func:`parse_ket` to the same state (up to
     renormalization noise below 1e-10 per amplitude).
     """
+    if not isinstance(state, PureState):
+        raise TypeError(f"expected PureState, got {type(state).__name__}")
     n = state.n_qubits
     return " + ".join(
         f"({float(a.real)!r}+{float(a.imag)!r}i)*|{idx:0{n}b}>".replace("+-", "-")

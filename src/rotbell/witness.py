@@ -11,6 +11,7 @@ threshold excludes nothing, so reports say "not excluded", never
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ def violation_factor(norm_squared, e_max_value, n):
         raise ValueError(f"invalid qubit count {n!r}")
     ns = float(norm_squared)
     em = float(e_max_value)
-    if ns < 0 or em < 0:
-        raise ValueError("norm_squared and e_max must be nonnegative")
+    if not (0.0 <= ns < math.inf and 0.0 <= em < math.inf):  # written so that NaN is refused too
+        raise ValueError(f"norm_squared and e_max must be finite and nonnegative, got {ns}, {em}")
     if em == 0.0:
         if ns > 0.0:
             raise ValueError("inconsistent inputs: e_max = 0 forces ||E||^2 = 0")
@@ -92,13 +93,13 @@ def critical_visibility(r):
     """Visibility above which white-noise-diluted correlations still violate: 1/r, or None
     when there is no violation to dilute (r <= 1)."""
     r = float(r)
-    if r < 0:
-        raise ValueError(f"violation factor must be nonnegative, got {r}")
+    if not 0.0 <= r < math.inf:  # written so that NaN is refused too
+        raise ValueError(f"violation factor must be finite and nonnegative, got {r}")
     return 1.0 / r if r > 1.0 else None
 
 
 def classify(state):
-    """Full witness analysis of a pure or mixed state, or of its antidiagonal profile.
+    """Full witness analysis of a pure or mixed state, a parsed ket, or a profile.
 
     Threshold comparisons are strict and carry no floating-point tolerance;
     the per-rung margins are reported so callers can apply error bars.

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +465,53 @@ def test_sweep_pure_20_qubits_runs_on_the_profile(capsys, no_huge_arrays):
     for i, row in enumerate(rows):
         assert float(row[0]) == pytest.approx(i / 10, abs=1e-15)
         assert float(row[1]) == pytest.approx(float(row[0]) * r, rel=1e-11)
+
+
+@pytest.fixture
+def no_pure_state(monkeypatch):
+    """Make every PureState construction fail loudly."""
+
+    def refuse(self):
+        raise AssertionError("PureState built")
+
+    monkeypatch.setattr(PureState, "__post_init__", refuse)
+
+
+@pytest.mark.parametrize("details", [(), ("--details",)])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_ket_commands_run_on_the_terms_without_a_pure_state(fmt, details, capsys, no_pure_state):
+    ket = "(0.6+0.2i)*|0000> - 0.8*|1111> + |0110>"
+    assert run_cli(capsys, "analyze", "--ket", ket, "--format", fmt, *details)[0] == 0
+    assert run_cli(capsys, "sweep", "--ket", ket, "--steps", "5", "--format", fmt)[0] == 0
+    with pytest.raises(AssertionError, match="PureState built"):  # the oracle needs amplitudes
+        main(["analyze", "--ket", ket, "--oracle", "--format", fmt])
+
+
+_CHILD_ADDRESS_SPACE = 256 << 20  # bytes; a 2^26 amplitude vector alone is 1 GiB
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("sweep", "--steps", "11")])
+def test_ket_commands_at_the_pure_cap_fit_a_small_address_space(command):
+    resource = pytest.importorskip("resource")
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    n = MAX_PURE_QUBITS
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    # one BLAS thread: the limit measures the program, not the host's thread-pool reservations
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotbell.cli", command[0], "--ket", f"|{'0' * n}>+|{'1' * n}>",
+         *command[1:], "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    r = 0.5 * (np.pi / 2) ** n
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert float(rows[-1]["r"]) == pytest.approx(r, rel=1e-11)
 
 
 def test_zoo_16_qubits_samples_profiles(capsys, no_huge_arrays):

@@ -20,6 +20,7 @@ from rotbell.states import (
     as_density,
     make_ghz,
     parse_ket,
+    parse_ket_info,
     random_density_matrix,
     random_pure_state,
 )
@@ -99,6 +100,50 @@ def test_profile_and_tensor_qubit_count_rule(cls, per_qubit):
         cls(27, np.zeros(per_qubit))
     accepted = cls(np.int64(3), np.zeros(4 * per_qubit))
     assert accepted.n_qubits == 3 and type(accepted.n_qubits) is int
+
+
+def test_sparse_profile_stores_positions_and_scatters_once():
+    prof = AntidiagonalProfile(3, [0.25j, -0.5], np.array([1, 3]))
+    assert prof.index.tolist() == [1, 3] and not prof.index.flags.writeable
+    assert prof.full_values().tolist() == [0, 0.25j, 0, -0.5]
+    assert prof.to_json() == [[0.0, 0.0], [0.0, 0.25], [0.0, 0.0], [-0.5, 0.0]]
+    dense = AntidiagonalProfile(3, prof.full_values())
+    assert dense.index is None and dense.full_values() is dense.values
+    assert e_max(prof) == e_max(dense) == 1.5
+    assert norm_squared_antidiagonal(prof) == norm_squared_antidiagonal(dense)
+    angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(6, 3))
+    assert correlation_value(prof, angles).tobytes() == correlation_value(dense, angles).tobytes()
+    assert correlation_tensor(prof).to_json() == correlation_tensor(dense).to_json()
+    empty = AntidiagonalProfile(2, np.zeros(0), np.zeros(0, dtype=int))
+    assert e_max(empty) == 0.0 and empty.to_json() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "index, values, match",
+    [
+        ([1, 0], [0.1, 0.1], "strictly increasing"),
+        ([2, 2], [0.1, 0.1], "strictly increasing"),
+        ([0, 4], [0.1, 0.1], "strictly increasing"),
+        ([-1, 0], [0.1, 0.1], "strictly increasing"),
+        ([0.0, 1.0], [0.1, 0.1], "integers"),
+        ([0, 1], [0.1], "length"),
+        ([0, 1], [0.1, np.inf], "NaN or Inf"),
+        ([0, 1], [0.1, 0.6], "1/2 bound"),
+    ],
+)
+def test_sparse_profile_validation(index, values, match):
+    with pytest.raises(ValueError, match=match):
+        AntidiagonalProfile(3, values, index)
+
+
+@pytest.mark.parametrize("ket", ["|0>", "|1>", "|0>+|1>", "|001>+|110>", "|011>-(0+2i)|010>",
+                                 "|01>+0.5*|11>", "(-1-1i)*|10>+(0.5-2i)*|00>"])
+def test_ket_profile_is_the_dense_profile_bit_for_bit(ket):
+    info = parse_ket_info(ket)
+    sparse = antidiagonal_profile(info)
+    dense = antidiagonal_profile(info.state)
+    assert sparse.index is not None and sparse.index.size <= info.index.size
+    assert sparse.full_values().tobytes() == dense.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +379,11 @@ def test_optimal_angles_reach_e_max_on_random_states():
             continue
         ang = optimal_angles_two_qubit(prof)
         assert correlation_value(prof, ang) == pytest.approx(e_max(prof), abs=1e-10)
+
+
+def test_optimal_angles_of_a_parsed_ket():
+    info = parse_ket_info("|00> + (0+1i)*|11>")
+    assert optimal_angles_two_qubit(info).tobytes() == optimal_angles_two_qubit(info.state).tobytes()
 
 
 def test_optimal_angles_errors():

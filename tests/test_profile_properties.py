@@ -2,7 +2,9 @@
 
 White noise only touches the diagonal, so the noisy antidiagonal is exactly
 V times the clean one, and a mixture's profile is the weighted sum of its
-terms' profiles.  The CLI relies on both facts bit for bit.  Every evaluation
+terms' profiles.  The CLI relies on both facts bit for bit, and on a parsed
+ket's sparse profile, built from its named terms alone, being the profile of
+its dense state.  Every evaluation
 of E runs through one contraction of the profile, which is checked here
 against the dense operator trace, and every pointwise route evaluates a
 stack of settings exactly as it evaluates each row; r depends only on the
@@ -229,3 +231,45 @@ def test_ket_grammar_reads_the_summed_normalized_coefficients(expr):
     info = parse_ket_info(text)
     assert np.allclose(info.state.amplitudes, amps / norm, rtol=0, atol=1e-15)
     assert info.input_norm == pytest.approx(norm, rel=1e-15)
+
+
+_COEF = st.floats(-2.0, 2.0, allow_nan=False).map(repr)
+
+
+@st.composite
+def sparse_kets(draw):
+    """Ket text with 1..8 terms on 2..12 qubits: random, repeated, W-type or complement-closed."""
+    n = draw(st.integers(2, 12))
+    full = (1 << n) - 1
+    support = draw(st.sampled_from(["random", "repeated", "w", "complement-closed"]))
+    if support == "random":
+        xs = draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
+    elif support == "repeated":
+        once = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+        xs = once + draw(st.lists(st.sampled_from(once), min_size=1, max_size=4))
+    elif support == "w":
+        xs = [1 << j for j in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                            max_size=min(n, 8), unique=True))]
+    else:
+        lo = draw(st.lists(st.integers(0, full >> 1), min_size=1, max_size=4, unique=True))
+        xs = lo + [full ^ x for x in lo]
+    return " + ".join(f"({draw(_COEF)}+{draw(_COEF)}i)*|{x:0{n}b}>".replace("+-", "-")
+                      for x in xs)
+
+
+@SETTINGS
+@given(sparse_kets())
+def test_term_route_profile_and_report_match_the_dense_route(text):
+    try:
+        info = parse_ket_info(text)
+    except ValueError as exc:  # the drawn coefficients cancelled
+        assume("zero vector" not in str(exc))
+        raise
+    sparse, dense = antidiagonal_profile(info), antidiagonal_profile(info.state)
+    assert sparse.index is not None and sparse.index.size <= info.index.size
+    assert np.max(np.abs((sparse.full_values() - dense.values).view(float))) <= 4e-16
+    fast, slow = classify(sparse), classify(dense)
+    for name in ("e_max", "norm_squared", "r"):
+        assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=1e-15, abs=0.0)
+    assert [t.excluded for t in fast.thresholds] == [t.excluded for t in slow.thresholds]
+    assert fast.min_excluded_separability == slow.min_excluded_separability

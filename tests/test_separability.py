@@ -15,6 +15,7 @@ from rotbell.states import (
     PureState,
     make_ghz,
     mix,
+    parse_ket_info,
     random_pure_state,
     sample_product_terms,
     tensor_product,
@@ -190,6 +191,14 @@ def test_verify_bound_flags_false_claim():
     max_mod, ok = verify_antidiagonal_bound(make_ghz(3), PartitionSpec([[1], [2], [3]]))
     assert max_mod == pytest.approx(0.5, abs=1e-15)
     assert not ok
+
+
+
+@pytest.mark.parametrize("ket", ["|000>+|111>", "|001>+|010>+|100>", "|111>"])
+def test_verify_bound_reads_a_parsed_ket_like_its_state(ket):
+    info = parse_ket_info(ket)
+    for part in ([[1], [2], [3]], [[1, 2], [3]]):
+        assert verify_antidiagonal_bound(info, part) == verify_antidiagonal_bound(info.state, part)
 
 
 def test_verify_bound_plusx_product_is_tight():

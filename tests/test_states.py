@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rotbell.states import (
+    MAX_PURE_QUBITS,
     PSD_TOL,
     DensityMatrix,
+    KetParse,
     PartitionSpec,
     PureState,
     add_white_noise,
@@ -422,6 +424,43 @@ def test_parse_ket_normalization_flag():
     assert not parse_ket_info("|0>").normalized
 
 
+def test_parse_ket_keeps_the_named_terms_only():
+    info = parse_ket_info("3*|110> + |001> - (0+4i)*|110>")
+    assert info.n_qubits == 3
+    assert info.index.tolist() == [1, 6] and info.index.dtype == np.int64
+    assert np.allclose(info.amplitudes, np.array([1, 3 - 4j]) / np.sqrt(26.0), rtol=0, atol=1e-15)
+    assert not (info.index.flags.writeable or info.amplitudes.flags.writeable)
+    dense = np.zeros(8, dtype=complex)
+    dense[info.index] = info.amplitudes
+    assert info.state.amplitudes.tobytes() == dense.tobytes()
+    assert info.state is info.state  # built once, on first use
+
+
+@pytest.mark.parametrize(
+    "index, amplitudes, match",
+    [
+        ([1, 0], [0.6, 0.8], "strictly increasing"),
+        ([0, 0], [0.6, 0.8], "strictly increasing"),
+        ([0, 8], [0.6, 0.8], "strictly increasing"),
+        ([-1, 2], [0.6, 0.8], "strictly increasing"),
+        ([0.0, 1.0], [0.6, 0.8], "integers"),
+        ([[0, 1]], [0.6, 0.8], "integers"),
+        ([0, 1], [0.6], "length"),
+        ([0, 1], [0.6, np.nan], "NaN"),
+        ([0, 1], [0.6, 0.6], "not normalized"),
+        ([], [], "not normalized"),
+    ],
+)
+def test_ket_parse_validates_its_terms(index, amplitudes, match):
+    with pytest.raises(ValueError, match=match):
+        KetParse(3, index, amplitudes, 1.0, False)
+
+
+def test_ket_parse_checks_the_cap_before_the_terms():
+    with pytest.raises(ValueError, match="pure-state cap"):
+        KetParse(MAX_PURE_QUBITS + 1, [0], [1.0], 1.0, False)
+
+
 def test_parse_ket_errors():
     with pytest.raises(ValueError, match="position"):
         parse_ket("|0> + @")
@@ -465,6 +504,11 @@ def test_render_parse_roundtrip_up_to_global_phase():
 
 # ---------------------------------------------------------------------------
 # JSON wire format
+
+
+def test_render_ket_refuses_a_density_matrix():
+    with pytest.raises(TypeError, match="expected PureState, got DensityMatrix"):
+        render_ket(DensityMatrix.maximally_mixed(1))
 
 
 def test_state_json_roundtrip_pure():

@@ -42,6 +42,13 @@ def test_violation_factor_inconsistency_raises():
         violation_factor(-1.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("ns, em", [(float("nan"), 1.0), (1.0, float("nan")),
+                                    (float("inf"), 1.0), (1.0, float("inf"))])
+def test_violation_factor_refuses_nan_and_inf(ns, em):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        violation_factor(ns, em, 2)
+
+
 def test_k_sep_threshold_values():
     assert k_sep_threshold(2, 2) == pytest.approx(np.pi**2 / 16.0, rel=1e-15)
     assert k_sep_threshold(3, 2) == pytest.approx(np.pi**3 / 32.0, rel=1e-15)
@@ -113,6 +120,12 @@ def test_critical_visibility_values():
     assert critical_visibility(2.0) == 0.5
     with pytest.raises(ValueError):
         critical_visibility(-0.5)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_critical_visibility_refuses_nan_and_inf(r):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        critical_visibility(r)
 
 
 def test_report_invariants():
