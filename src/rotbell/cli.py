@@ -21,8 +21,7 @@ from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
-    KetParse,
-    PureState,
+    ghz_terms,
     make_ghz,
     parse_ket,
     parse_ket_info,
@@ -190,8 +189,8 @@ def _read_capped(fh):
 def _load_state(args):
     """The state named by --ket or --input, with its input metadata.
 
-    A ket comes back as its ``KetParse``: everything but the oracle runs on
-    its sparse profile, so the 2^N amplitude vector is built only on demand.
+    A ket comes back as its named terms: everything but ``--details`` and the
+    oracle runs on its sparse profile, so no 2^N vector is built for it.
     """
     if args.ket is not None:
         info = parse_ket_info(args.ket)
@@ -268,9 +267,8 @@ def _report_state(state, args, gated, meta=None, details=None):
     """Classify, cross-check on request, print; ``gated``: is a gap below e_max a failure?"""
     report = classify(state)
     oracle_report = None
-    if args.oracle:  # the brute-force checks need the amplitudes themselves
-        dense = state.state if isinstance(state, KetParse) else state
-        oracle_report = cross_validate(dense, config=_ORACLE_CONFIG)
+    if args.oracle:
+        oracle_report = cross_validate(state, config=_ORACLE_CONFIG)
     fmt = args.format
     if fmt == "json":
         payload = {"report": report.to_dict()}
@@ -344,7 +342,7 @@ def cmd_analyze(args):
 
 def cmd_ghz(args):
     # a GHZ profile has one element, so its closed-form maximum is attained
-    return _report_state(make_ghz(args.n), args, gated=True)
+    return _report_state(ghz_terms(args.n), args, gated=True)
 
 
 _SWEEP_COLUMNS = (("v", "v", 15), ("r", "r", 15), ("lhv_violated", "lhv", 6),
@@ -374,10 +372,8 @@ _ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),
 
 def _sampled_k_separable_profile(n, k, seed):
     """Profile of a random 2-term k-separable mixture: the weighted sum of its terms' profiles."""
-    acc = np.zeros(1 << (n - 1), dtype=complex)
-    for w, term in sample_product_terms(n, k, n_terms=2, rng_seed=seed):
-        acc += w * antidiagonal_profile(term).values
-    return AntidiagonalProfile(n, acc)
+    terms = sample_product_terms(n, k, n_terms=2, rng_seed=seed)  # checks the cap first
+    return AntidiagonalProfile(n, sum(w * antidiagonal_profile(t).values for w, t in terms))
 
 
 def cmd_zoo(args):
@@ -387,7 +383,7 @@ def cmd_zoo(args):
         raise ValueError("--samples must be >= 0")
     rows = []
     for n in range(args.nmin, args.nmax + 1):
-        ghz_r = classify(make_ghz(n)).r
+        ghz_r = classify(ghz_terms(n)).r
         for k in range(1, n + 1):
             thr = k_sep_threshold(n, k)
             ratio = thr / k_sep_threshold(n, k + 1) if k < n else None
@@ -417,9 +413,7 @@ def _verify_fixtures(seed):
         fixtures.append((f"ghz_{n}", make_ghz(n), True))
     rng = np.random.default_rng((seed, 0xF17))
     for n in (2, 3, 4):
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        fixtures.append((f"basis_{n}", PureState(n, amps), True))
+        fixtures.append((f"basis_{n}", parse_ket("|" + "0" * n + ">"), True))
     for n in (3, 4):
         blocks = [[q] for q in range(1, n + 1)]
         product = tensor_product([random_pure_state(1, rng) for _ in range(n)], blocks)
@@ -489,8 +483,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BudgetExceededError, ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, ValueError, TypeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

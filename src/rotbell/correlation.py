@@ -18,14 +18,17 @@ From that form follow the closed expressions for the maximum
 against the direct operator trace (see ``correlation_value_trace``), which is
 the reference implementation for all of them.
 
-A profile is dense (all 2^(N-1) elements) or sparse (the elements at a
-strictly increasing ``index``, every other one zero).  Profiles of a
+A profile is dense (all 2^(N-1) elements, under the pure-state cap of 26
+qubits) or sparse (the elements at a strictly increasing int64 ``index``,
+every other one zero, under the term cap of 63 qubits).  Profiles of a
 PureState or a DensityMatrix are dense; the profile of a parsed ket
 (``KetParse``) is sparse, with at most one element per named term, so
 ``analyze --ket`` never builds the 2^N amplitude vector.  The moduli sums
-read the stored elements as they are; the consumers that need positions (the
-evaluation of E, the tensor, ``to_json`` and the two-qubit maximizer) read
-the full vector from the one scatter, ``AntidiagonalProfile.full_values``.
+(``e_max``, the norm, ``classify``) read the stored elements as they are;
+the consumers that need positions (the evaluation of E, the tensor,
+``to_json`` and the two-qubit maximizer) read the full vector from the one
+scatter, ``AntidiagonalProfile.full_values``, which checks the pure-state
+cap before it allocates.
 
 Note on E_max: it is always an upper bound for E, and it is attained for
 N <= 2, for GHZ-like profiles, and for products of blocks of at most two
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, DensityMatrix, KetParse, PureState
-from .states import _check_qubits, _freeze_array, _freeze_index, _to_pairs
+from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, MAX_TERM_QUBITS, DensityMatrix, KetParse
+from .states import PureState, _check_qubits, _freeze_array, _freeze_index, _scatter, _to_pairs
 
 __all__ = [
     "AntidiagonalProfile",
@@ -81,7 +84,10 @@ class AntidiagonalProfile:
     index: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        if self.index is None:
+            _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        else:  # a sparse profile stores int64 positions only
+            _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         half = 1 << (self.n_qubits - 1)
         size = half if self.index is None else _freeze_index(self, half, "profile index").size
         vals = _freeze_array(self, "values", complex, (size,), "profile")
@@ -93,9 +99,7 @@ class AntidiagonalProfile:
         """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros."""
         if self.index is None:
             return self.values
-        full = np.zeros(1 << (self.n_qubits - 1), dtype=complex)
-        full[self.index] = self.values
-        return full
+        return _scatter(self.n_qubits, 1 << (self.n_qubits - 1), self.index, self.values)
 
     def to_json(self):
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""

@@ -32,7 +32,7 @@ from .correlation import (
     norm_squared_antidiagonal,
     norm_squared_tensor,
 )
-from .states import _is_count
+from .states import KetParse, _is_count
 
 __all__ = [
     "GridSearchConfig",
@@ -91,10 +91,9 @@ class GridMax(NamedTuple):
 
 def _fit_points(requested, n, rounds, budget):
     per_round = budget // (rounds + 1)
-    pts = min(int(requested), int(per_round ** (1.0 / n))) if per_round >= 1 else 0
-    while pts > MIN_POINTS_PER_AXIS and pts**n > per_round:
-        pts -= 1
-    if pts < MIN_POINTS_PER_AXIS or pts**n > per_round:
+    root = round(per_round ** (1.0 / n))  # the integer n-th root, or one above it
+    pts = min(int(requested), root - (root**n > per_round))
+    if pts < MIN_POINTS_PER_AXIS:
         raise BudgetExceededError(
             f"grid search over {n} angles needs at least {MIN_POINTS_PER_AXIS}^{n} "
             f"evaluations per round, exceeding the budget of {budget}"
@@ -217,6 +216,8 @@ def cross_validate(state, config=None):
     n = state.n_qubits
     if n > 6:
         raise ValueError(f"cross-validation is dense and grid-heavy; n={n} > 6 refused")
+    if isinstance(state, KetParse):  # named terms are densified only past the n <= 6 rule
+        state = state.state
     prof = antidiagonal_profile(state)
     rng = np.random.default_rng(_TRACE_SETTINGS_SEED)
     settings = rng.uniform(0.0, 2.0 * np.pi, size=(_TRACE_SETTINGS, n))

@@ -23,6 +23,7 @@ __all__ = [
     "PartitionSpec",
     "State",
     "make_ghz",
+    "ghz_terms",
     "tensor_product",
     "mix",
     "add_white_noise",
@@ -43,6 +44,7 @@ __all__ = [
 # of entries to validate, a 2^26 pure state is 1 GiB of amplitudes.
 MAX_PURE_QUBITS = 26
 MAX_DENSE_QUBITS = 13
+MAX_TERM_QUBITS = 63  # named terms store their basis indices only, as int64
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -51,7 +53,7 @@ PSD_TOL = 1e-8
 
 
 def _dim(n):
-    return 1 << n
+    return 1 << int(n)  # a Python int, so 2^63 does not overflow a numpy count
 
 
 def _is_count(x, least=1):
@@ -104,6 +106,14 @@ def _freeze_index(obj, bound, what):
     if idx.size and not (idx[0] >= 0 and idx[-1] < bound and (idx[1:] > idx[:-1]).all()):
         raise ValueError(f"{what} must be strictly increasing within [0, {bound})")
     return idx
+
+
+def _scatter(n, length, index, values):
+    """The one densifier: ``values`` at ``index`` among ``length`` zeros, ``n`` capped first."""
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
+    full = np.zeros(length, dtype=complex)
+    full[index] = values
+    return full
 
 
 def _check_unit_norm(amps):
@@ -234,12 +244,15 @@ class PartitionSpec:
 # constructors
 
 
+def ghz_terms(n):
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits as its two named terms (term cap)."""
+    _check_qubits(n, MAX_TERM_QUBITS, "term")  # before 2^n is formed
+    return KetParse(n, [0, _dim(n) - 1], [1.0 / np.sqrt(2.0)] * 2, 1.0, False)
+
+
 def make_ghz(n):
-    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    amps = np.zeros(_dim(n), dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(int(n), amps)
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits: the dense state of :func:`ghz_terms`."""
+    return ghz_terms(n).state
 
 
 def tensor_product(states, assignment):
@@ -386,8 +399,8 @@ class KetParse:
     ``index`` lists the named basis indices in increasing order and
     ``amplitudes`` their normalized sums; every other amplitude is zero.
     Validated like a PureState (finite, unit norm within ``NORM_TOL``), but
-    over the named terms only.  ``state`` places them into a dense PureState
-    on first use.
+    over the named terms only, under the term cap; ``state`` places them
+    into a dense PureState on first use, under the pure-state cap.
     """
 
     n_qubits: int
@@ -397,16 +410,15 @@ class KetParse:
     normalized: bool
 
     def __post_init__(self):
-        _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
+        _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         idx = _freeze_index(self, _dim(self.n_qubits), "ket index")
         _check_unit_norm(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
 
     @cached_property
     def state(self):
         """The dense PureState of the named terms, built once."""
-        amps = np.zeros(_dim(self.n_qubits), dtype=complex)
-        amps[self.index] = self.amplitudes
-        return PureState(self.n_qubits, amps)
+        n = self.n_qubits
+        return PureState(n, _scatter(n, _dim(n), self.index, self.amplitudes))
 
     def __repr__(self):
         return f"KetParse(n_qubits={self.n_qubits}, terms={self.index.size})"
@@ -452,7 +464,7 @@ def parse_ket_info(expression):
         raise ValueError(f"ket syntax error at position {at}: expected {want}, found {tail[:10]!r}")
 
     n = len(terms[0]["bits"])
-    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
+    _check_qubits(n, MAX_TERM_QUBITS, "term")
     sums = {}  # basis index -> summed coefficient
     for m in terms:
         if len(m["bits"]) != n:

@@ -16,6 +16,7 @@ from rotbell.cli import main
 from rotbell.states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
+    MAX_TERM_QUBITS,
     DensityMatrix,
     PureState,
     as_density,
@@ -25,6 +26,7 @@ from rotbell.states import (
     render_ket,
     state_to_json,
 )
+from rotbell.witness import k_sep_threshold
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -440,13 +442,22 @@ def no_huge_arrays(monkeypatch):
         np.linspace, lambda start, stop, num=50, *a, **k: int(num)))
 
 
+def _ghz_ket(n):
+    return f"|{'0' * n}>+|{'1' * n}>"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("ghz", "--n", "40"), "pure-state cap"),
-        (("analyze", "--ket", "|" + "0" * 40 + ">"), "pure-state cap"),
+        (("analyze", "--ket", "|" + "0" * 40 + ">", "--details", "--format", "json"),
+         "pure-state cap"),
+        (("analyze", "--ket", "|" + "0" * 40 + ">", "--oracle"), "n=40 > 6"),
         (("zoo", "--nmin", "40", "--nmax", "40", "--samples", "1"), "pure-state cap"),
         (("sweep", "--ket", "|0>+|1>", "--steps", str(10**12)), "steps"),
+        (("ghz", "--n", "40", "--oracle"), "n=40 > 6"),
+        (("ghz", "--n", "64"), "term cap"),
+        (("analyze", "--ket", _ghz_ket(64)), "term cap"),
+        (("sweep", "--ket", _ghz_ket(64)), "term cap"),
     ],
 )
 def test_oversized_requests_exit_1_before_allocating(argv, message, capsys, no_huge_arrays):
@@ -483,6 +494,8 @@ def test_ket_commands_run_on_the_terms_without_a_pure_state(fmt, details, capsys
     ket = "(0.6+0.2i)*|0000> - 0.8*|1111> + |0110>"
     assert run_cli(capsys, "analyze", "--ket", ket, "--format", fmt, *details)[0] == 0
     assert run_cli(capsys, "sweep", "--ket", ket, "--steps", "5", "--format", fmt)[0] == 0
+    assert run_cli(capsys, "ghz", "--n", "30", "--format", fmt)[0] == 0
+    assert run_cli(capsys, "zoo", "--nmin", "30", "--nmax", "30", "--samples", "0")[0] == 0
     with pytest.raises(AssertionError, match="PureState built"):  # the oracle needs amplitudes
         main(["analyze", "--ket", ket, "--oracle", "--format", fmt])
 
@@ -490,28 +503,72 @@ def test_ket_commands_run_on_the_terms_without_a_pure_state(fmt, details, capsys
 _CHILD_ADDRESS_SPACE = 256 << 20  # bytes; a 2^26 amplitude vector alone is 1 GiB
 
 
-@pytest.mark.parametrize("command", [("analyze",), ("sweep", "--steps", "11")])
-def test_ket_commands_at_the_pure_cap_fit_a_small_address_space(command):
+def _run_in_small_address_space(*argv):
+    """Run the CLI in a child process whose address space is capped at 256 MiB."""
     resource = pytest.importorskip("resource")
 
     def limit_child():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
-    n = MAX_PURE_QUBITS
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     # one BLAS thread: the limit measures the program, not the host's thread-pool reservations
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "rotbell.cli", command[0], "--ket", f"|{'0' * n}>+|{'1' * n}>",
-         *command[1:], "--format", "csv"],
-        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_child,
-    )
+    return subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit_child)
+
+
+def _assert_ghz_rows(proc, n):
+    """Exit 0, no stderr, and the GHZ closed forms: r = (1/2)(pi/2)^n, every rung k >= 2 excluded."""
     assert (proc.returncode, proc.stderr) == (0, "")
-    r = 0.5 * (np.pi / 2) ** n
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    assert float(rows[-1]["r"]) == pytest.approx(r, rel=1e-11)
+    assert float(rows[-1]["r"]) == pytest.approx(0.5 * (np.pi / 2) ** n, rel=1e-11)
+    for row in rows:
+        if "k" in row:  # analyze: one row per rung of the ladder
+            assert float(row["r_k_max"]) == pytest.approx(k_sep_threshold(n, int(row["k"])),
+                                                          rel=1e-11)
+            assert row["excluded"] == "true"
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("sweep", "--steps", "11")])
+def test_ket_commands_at_the_pure_cap_fit_a_small_address_space(command):
+    n = MAX_PURE_QUBITS
+    proc = _run_in_small_address_space(command[0], "--ket", _ghz_ket(n), *command[1:],
+                                       "--format", "csv")
+    _assert_ghz_rows(proc, n)
+
+
+def test_ghz_at_the_pure_cap_fits_a_small_address_space():
+    n = MAX_PURE_QUBITS
+    _assert_ghz_rows(_run_in_small_address_space("ghz", "--n", str(n), "--format", "csv"), n)
+
+
+@pytest.mark.parametrize("n", [40, 62, MAX_TERM_QUBITS])
+@pytest.mark.parametrize("command", [("analyze",), ("sweep", "--steps", "11")])
+def test_ket_commands_past_the_pure_cap_run_on_the_terms(command, n):
+    proc = _run_in_small_address_space(command[0], "--ket", _ghz_ket(n), *command[1:],
+                                       "--format", "csv")
+    _assert_ghz_rows(proc, n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ghz", "--n", str(MAX_PURE_QUBITS), "--oracle"),
+        ("analyze", "--ket", _ghz_ket(MAX_PURE_QUBITS), "--oracle"),
+        ("analyze", "--ket", _ghz_ket(MAX_PURE_QUBITS), "--details", "--format", "json"),
+        ("ghz", "--n", str(MAX_TERM_QUBITS + 1)),
+        ("analyze", "--ket", _ghz_ket(MAX_TERM_QUBITS + 1)),
+        ("sweep", "--ket", _ghz_ket(MAX_TERM_QUBITS + 1)),
+    ],
+    ids=["ghz-oracle", "analyze-oracle", "analyze-details", "ghz-64", "analyze-64", "sweep-64"],
+)
+def test_refusals_in_a_small_address_space_take_one_line(argv):
+    # the --details case passes every cap and runs out of memory: main reports that in one line
+    proc = _run_in_small_address_space(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 def test_zoo_16_qubits_samples_profiles(capsys, no_huge_arrays):
@@ -532,6 +589,7 @@ _GOLDEN_CASES = {
     ),
     "sweep-density": ("sweep", "--input", "{dens3}", "--steps", "6"),
     "zoo": ("zoo", "--nmin", "2", "--nmax", "4", "--samples", "3", "--seed", "7"),
+    **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
 }
 
 

@@ -15,6 +15,7 @@ from rotbell.correlation import (
     optimal_angles_two_qubit,
 )
 from rotbell.states import (
+    MAX_TERM_QUBITS,
     DensityMatrix,
     PureState,
     as_density,
@@ -100,6 +101,21 @@ def test_profile_and_tensor_qubit_count_rule(cls, per_qubit):
         cls(27, np.zeros(per_qubit))
     accepted = cls(np.int64(3), np.zeros(4 * per_qubit))
     assert accepted.n_qubits == 3 and type(accepted.n_qubits) is int
+
+
+def test_sparse_profile_takes_the_term_cap_and_scatters_under_the_pure_cap(monkeypatch):
+    prof = AntidiagonalProfile(MAX_TERM_QUBITS, [0.5], [(1 << (MAX_TERM_QUBITS - 1)) - 1])
+    assert e_max(prof) == 1.0
+    with pytest.raises(ValueError, match="term cap of 63"):
+        AntidiagonalProfile(MAX_TERM_QUBITS + 1, [0.5], [0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    for dense_consumer in (AntidiagonalProfile.full_values, correlation_tensor):
+        with pytest.raises(ValueError, match="pure-state cap"):
+            dense_consumer(prof)
 
 
 def test_sparse_profile_stores_positions_and_scatters_once():

@@ -22,8 +22,10 @@ from rotbell.oracle import (
 )
 from rotbell.states import (
     DensityMatrix,
+    ghz_terms,
     make_ghz,
     parse_ket,
+    parse_ket_info,
     random_density_matrix,
     random_pure_state,
     tensor_product,
@@ -106,6 +108,23 @@ def test_grid_budget_autofit_and_refusal():
     assert value <= e_max(state) + 1e-9
     with pytest.raises(BudgetExceededError):
         maximize_grid(state, GridSearchConfig(max_evaluations=1000))
+
+
+def test_grid_fits_exact_budgets_by_the_integer_root():
+    # 512 ** (1/3) is 7.999... in floating point; 8^3 = 512 evaluations still fit
+    cfg = GridSearchConfig(points_per_axis=8, refinement_rounds=0, max_evaluations=512)
+    assert maximize_grid(make_ghz(3), cfg).value == pytest.approx(1.0, abs=1e-12)
+    for n in range(3, 7):
+        for p in range(8, 40):
+            for rounds in (0, 1, 3):
+                exact = (rounds + 1) * p**n
+                assert oracle_mod._fit_points(p, n, rounds, exact) == p
+                if p > 8:
+                    assert oracle_mod._fit_points(p, n, rounds, exact - 1) == p - 1
+                else:
+                    with pytest.raises(BudgetExceededError):
+                        oracle_mod._fit_points(p, n, rounds, exact - 1)
+    assert oracle_mod._fit_points(24, 3, 3, 4 * 8**3) == 8  # the floor of 8 points per axis
 
 
 def test_grid_config_validation():
@@ -204,6 +223,14 @@ def test_cross_validate_reports_generic_gap():
 def test_cross_validate_rejects_large_n():
     with pytest.raises(ValueError, match="refused"):
         cross_validate(make_ghz(7))
+
+
+def test_cross_validate_checks_a_ket_parse_as_its_dense_state():
+    ket = parse_ket_info("(0.6+0.2i)*|000> - 0.8*|111> + |011>")
+    assert cross_validate(ket).to_dict() == cross_validate(ket.state).to_dict()
+    # the n <= 6 rule comes first: a 40-qubit ket is never densified
+    with pytest.raises(ValueError, match="n=40 > 6"):
+        cross_validate(ghz_terms(40))
 
 
 def test_cross_validate_refuses_a_profile():

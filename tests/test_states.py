@@ -5,6 +5,7 @@ import pytest
 
 from rotbell.states import (
     MAX_PURE_QUBITS,
+    MAX_TERM_QUBITS,
     PSD_TOL,
     DensityMatrix,
     KetParse,
@@ -12,6 +13,7 @@ from rotbell.states import (
     PureState,
     add_white_noise,
     as_density,
+    ghz_terms,
     make_ghz,
     mix,
     parse_ket,
@@ -57,6 +59,17 @@ def test_make_ghz_three_qubits():
 def test_make_ghz_rejects_zero_qubits():
     with pytest.raises(ValueError):
         make_ghz(0)
+
+
+def test_ghz_terms_are_capped_by_the_index_and_scatter_to_make_ghz():
+    terms = ghz_terms(np.int64(MAX_TERM_QUBITS))
+    assert terms.index.tolist() == [0, (1 << MAX_TERM_QUBITS) - 1]
+    assert classify(terms).r == pytest.approx(0.5 * (np.pi / 2) ** MAX_TERM_QUBITS, rel=1e-12)
+    assert make_ghz(3).amplitudes.tobytes() == ghz_terms(3).state.amplitudes.tobytes()
+    with pytest.raises(ValueError, match="term cap of 63"):
+        ghz_terms(MAX_TERM_QUBITS + 1)
+    with pytest.raises(ValueError, match="pure-state cap"):
+        make_ghz(MAX_PURE_QUBITS + 1)
 
 
 def test_ghz3_pipeline_violation_factor():
@@ -107,6 +120,15 @@ def test_density_matrix_psd_tolerance_boundary(n):
     DensityMatrix(n, unit_trace_diagonal(-0.5 * PSD_TOL))
     with pytest.raises(ValueError, match="positive semidefinite"):
         DensityMatrix(n, unit_trace_diagonal(-2.0 * PSD_TOL))
+
+
+def test_psd_tolerance_is_pinned():
+    def diagonal(e):  # unit trace, smallest eigenvalue -e
+        return np.diag([1.0 + e, -e])
+
+    DensityMatrix(1, diagonal(0.5e-8))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(1, diagonal(1.5e-8))
 
 
 def test_random_states_pass_validation():
@@ -457,8 +479,8 @@ def test_ket_parse_validates_its_terms(index, amplitudes, match):
 
 
 def test_ket_parse_checks_the_cap_before_the_terms():
-    with pytest.raises(ValueError, match="pure-state cap"):
-        KetParse(MAX_PURE_QUBITS + 1, [0], [1.0], 1.0, False)
+    with pytest.raises(ValueError, match="term cap"):
+        KetParse(MAX_TERM_QUBITS + 1, [0], [1.0], 1.0, False)
 
 
 def test_parse_ket_errors():
