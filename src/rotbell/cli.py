@@ -13,6 +13,8 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
+from types import GeneratorType
 
 import numpy as np
 
@@ -65,50 +67,56 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _jnum(x):
-    if x is None or isinstance(x, (bool, str)):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(format(float(x), ".12g"))
-
-
 def _round_tree(obj):
+    """``obj`` ready for json: its leaves take :func:`_fmt`'s ladder, numbers its 12 digits."""
+    if isinstance(obj, float):  # the common leaf, tested first: --details has 2^N of them
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, GeneratorType)):
         return [_round_tree(v) for v in obj]
-    return _jnum(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return float(_fmt(obj))
 
 
-def _emit_json(payload):
-    sys.stdout.write(json.dumps(_round_tree(payload), indent=2, sort_keys=True) + "\n")
+def _emit(fmt, payload, tables, lines):
+    """Write a command's output; the only code here that writes to stdout.
+
+    json prints ``payload``, csv prints each ``(header, rows)`` of ``tables``
+    in turn, and text prints ``lines``.  Payload lists, rows and lines may be
+    generators, so that only the chosen format is rendered.
+    """
+    if fmt == "json":
+        text = json.dumps(_round_tree(payload), indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for header, rows in tables:
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
 
 
-def _emit_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    sys.stdout.write(buf.getvalue())
+def _table(columns, rows):
+    """The json payload, csv tables and text lines of ``rows`` under ``columns``.
 
-
-def _emit_table(fmt, columns, rows):
-    """Rows as json objects, csv, or a text table; ``columns`` are (csv name, text label, width).
-
-    Text cells are right-justified to their column's width and joined by one
-    space; an empty cell prints ``-``.
+    ``columns`` are (csv name, text label, width).  Text cells are
+    right-justified to their column's width and joined by one space; an empty
+    cell prints ``-``.
     """
     names = [name for name, _, _ in columns]
-    if fmt == "json":
-        _emit_json({"rows": [dict(zip(names, row)) for row in rows]})
-    elif fmt == "csv":
-        _emit_csv(names, rows)
-    else:
-        lines = [[label for _, label, _ in columns]] + [[_fmt(v) or "-" for v in row] for row in rows]
-        for line in lines:
-            sys.stdout.write(" ".join(c.rjust(w) for c, (_, _, w) in zip(line, columns)) + "\n")
+    cells = chain([[label for _, label, _ in columns]],
+                  ([_fmt(v) or "-" for v in row] for row in rows))
+    lines = (" ".join(c.rjust(w) for c, (_, _, w) in zip(line, columns)) for line in cells)
+    return {"rows": (dict(zip(names, row)) for row in rows)}, [(names, rows)], lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,7 +233,7 @@ _ANALYZE_CSV_HEADER = [
 
 
 def _verdict_line(report):
-    if report.min_excluded_separability == 2:
+    if report.genuine_multipartite:
         return (
             f"genuine {report.n_qubits}-partite correlations certified "
             "(biseparability excluded)"
@@ -238,21 +246,17 @@ def _verdict_line(report):
     return "nothing excluded"
 
 
-def _print_report_text(report, meta=None):
-    out = []
+def _report_lines(report, meta):
     if meta and meta.get("normalization_applied"):
-        out.append(f"note: input renormalized (raw norm {_fmt(meta['input_norm'])})")
+        yield f"note: input renormalized (raw norm {_fmt(meta['input_norm'])})"
     for name in _ANALYZE_CSV_HEADER[:7]:  # only critical_visibility can be None
-        out.append(f"{name}: {_fmt(getattr(report, name)) or 'n/a'}")
+        yield f"{name}: {_fmt(getattr(report, name)) or 'n/a'}"
     if report.thresholds:
-        out.append("separability ladder (strict exclusion):")
+        yield "separability ladder (strict exclusion):"
         for t in report.thresholds:
             word = "EXCLUDED" if t.excluded else "not excluded"
-            out.append(
-                f"  k={t.k}: threshold {_fmt(t.r_k_max)}  margin {_fmt(t.margin)}  {word}"
-            )
-    out.append(f"verdict: {_verdict_line(report)}")
-    sys.stdout.write("\n".join(out) + "\n")
+            yield f"  k={t.k}: threshold {_fmt(t.r_k_max)}  margin {_fmt(t.margin)}  {word}"
+    yield f"verdict: {_verdict_line(report)}"
 
 
 def _report_csv_rows(report):
@@ -266,30 +270,30 @@ def _report_csv_rows(report):
 def _report_state(state, args, gated, meta=None, details=None):
     """Classify, cross-check on request, print; ``gated``: is a gap below e_max a failure?"""
     report = classify(state)
+    payload = {"report": report.to_dict()}
+    if meta:
+        payload["input"] = meta
+    tables = [(_ANALYZE_CSV_HEADER, _report_csv_rows(report))]
+    lines = _report_lines(report, meta)
     oracle_report = None
     if args.oracle:
         oracle_report = cross_validate(state, config=_ORACLE_CONFIG)
-    fmt = args.format
-    if fmt == "json":
-        payload = {"report": report.to_dict()}
-        if meta:
-            payload["input"] = meta
-        if oracle_report is not None:
-            payload["oracle"] = oracle_report.to_dict()
-        if details is not None:
-            payload["correlation"] = details
-        _emit_json(payload)
-    elif fmt == "csv":
-        _emit_csv(_ANALYZE_CSV_HEADER, _report_csv_rows(report))
-        if oracle_report is not None:
-            _emit_oracle_csv([("state", oracle_report, gated)])
-    else:
-        _print_report_text(report, meta)
-        if oracle_report is not None:
-            _print_oracle_text("state", oracle_report, gated)
+        payload["oracle"] = oracle_report.to_dict()
+        tables.append(_oracle_table([("state", oracle_report, gated)]))
+        lines = chain(lines, (
+            f"oracle state: {_oracle_numbers(oracle_report)} "
+            f"[{_attainment(oracle_report, gated)}] -> {_ok(oracle_report, gated)}",
+        ))
+    if details is not None:
+        payload["correlation"] = details
+    _emit(args.format, payload, tables, lines)
     if oracle_report is not None and not oracle_report.passes(gated):
         return EXIT_VALIDATION
     return EXIT_OK
+
+
+def _ok(rep, gated):
+    return "ok" if rep.passes(gated) else "FAIL"
 
 
 def _attainment(rep, gated):
@@ -301,13 +305,6 @@ def _oracle_numbers(rep):
             f"quad={_fmt(rep.quadrature_rel_diff)} gap={_fmt(rep.grid_gap)}")
 
 
-def _print_oracle_text(name, rep, gated):
-    sys.stdout.write(
-        f"oracle {name}: {_oracle_numbers(rep)} [{_attainment(rep, gated)}] "
-        f"-> {'ok' if rep.passes(gated) else 'FAIL'}\n"
-    )
-
-
 _ORACLE_CSV_HEADER = [
     "fixture", "n_qubits", "trace_max_abs_diff", "dual_norm_rel_diff",
     "quadrature_rel_diff", "e_max", "grid_value", "grid_gap",
@@ -315,12 +312,12 @@ _ORACLE_CSV_HEADER = [
 ]
 
 
-def _emit_oracle_csv(entries):
-    rows = [
+def _oracle_table(entries):
+    rows = (
         [name, *(getattr(rep, h) for h in _ORACLE_CSV_HEADER[1:9]), gated, rep.attainability_ok]
         for name, rep, gated in entries
-    ]
-    _emit_csv(_ORACLE_CSV_HEADER, rows)
+    )
+    return _ORACLE_CSV_HEADER, rows
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +358,7 @@ def cmd_sweep(args):
     for v in np.linspace(args.vmin, args.vmax, args.steps):
         rep = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values, prof.index))
         rows.append([float(v), rep.r, rep.lhv_violated, rep.min_excluded_separability])
-    _emit_table(args.format, _SWEEP_COLUMNS, rows)
+    _emit(args.format, *_table(_SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -395,7 +392,7 @@ def cmd_zoo(args):
                 )
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
-    _emit_table(args.format, _ZOO_COLUMNS, rows)
+    _emit(args.format, *_table(_ZOO_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -446,33 +443,26 @@ def cmd_verify(args):
     failures = sum(not rep.passes(gated) for _, rep, gated in entries)
     gated_attain = sum(gated for _, _, gated in entries)
     gated_attain_ok = sum(gated and rep.attainability_ok for _, rep, gated in entries)
-    if args.format == "json":
-        payload = {
-            "fixtures": [
-                {"name": name, "attainability_gated": gated, **rep.to_dict()}
-                for name, rep, gated in entries
-            ],
-            "summary": {
-                "fixtures": len(entries),
-                "failures": failures,
-                "attainability_gated": gated_attain,
-                "attainability_gated_ok": gated_attain_ok,
-            },
-        }
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_oracle_csv(entries)
-    else:
-        for name, rep, gated in entries:
-            sys.stdout.write(
-                f"[{'ok' if rep.passes(gated) else 'FAIL':>4}] {name:<22} n={rep.n_qubits} "
-                f"{_oracle_numbers(rep)} ({_attainment(rep, gated)})\n"
-            )
-        sys.stdout.write(
-            f"summary: {len(entries)} fixtures, {len(entries) - failures} ok, "
-            f"{failures} failed; attainability gated for {gated_attain} "
-            f"({gated_attain_ok} attained)\n"
-        )
+    payload = {
+        "fixtures": (
+            {"name": name, "attainability_gated": gated, **rep.to_dict()}
+            for name, rep, gated in entries
+        ),
+        "summary": {
+            "fixtures": len(entries),
+            "failures": failures,
+            "attainability_gated": gated_attain,
+            "attainability_gated_ok": gated_attain_ok,
+        },
+    }
+    lines = chain(
+        (f"[{_ok(rep, gated):>4}] {name:<22} n={rep.n_qubits} "
+         f"{_oracle_numbers(rep)} ({_attainment(rep, gated)})" for name, rep, gated in entries),
+        (f"summary: {len(entries)} fixtures, {len(entries) - failures} ok, "
+         f"{failures} failed; attainability gated for {gated_attain} "
+         f"({gated_attain_ok} attained)",),
+    )
+    _emit(args.format, payload, [_oracle_table(entries)], lines)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 

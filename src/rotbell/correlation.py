@@ -39,7 +39,7 @@ system in only N angles.  The oracle module measures that gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class AntidiagonalProfile:
     """The 2^(N-1) complex elements rho[0 k ; 1 ~k], indexed by k2..kN packed big-endian.
 
@@ -80,8 +80,8 @@ class AntidiagonalProfile:
     """
 
     n_qubits: int
-    values: np.ndarray
-    index: np.ndarray | None = None
+    values: np.ndarray = field(repr=False)
+    index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -105,16 +105,13 @@ class AntidiagonalProfile:
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""
         return _to_pairs(self.full_values())
 
-    def __repr__(self):
-        return f"AntidiagonalProfile(n_qubits={self.n_qubits})"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """The 2^N correlation-tensor components, index (i1..iN) in {x,y}^N packed with x=0, y=1."""
 
     n_qubits: int
-    components: np.ndarray
+    components: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
@@ -126,9 +123,6 @@ class CorrelationTensor:
     def to_json(self):
         """Component list in index order ((i1..iN) packed big-endian, x=0, y=1)."""
         return [float(c) for c in self.components]
-
-    def __repr__(self):
-        return f"CorrelationTensor(n_qubits={self.n_qubits})"
 
 
 def _evaluate(prof, phases):

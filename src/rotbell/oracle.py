@@ -216,9 +216,9 @@ def cross_validate(state, config=None):
     n = state.n_qubits
     if n > 6:
         raise ValueError(f"cross-validation is dense and grid-heavy; n={n} > 6 refused")
-    if isinstance(state, KetParse):  # named terms are densified only past the n <= 6 rule
+    prof = antidiagonal_profile(state)  # for a KetParse, the sparse profile classify reads
+    if isinstance(state, KetParse):  # densified past the n <= 6 rule, for the trace only
         state = state.state
-    prof = antidiagonal_profile(state)
     rng = np.random.default_rng(_TRACE_SETTINGS_SEED)
     settings = rng.uniform(0.0, 2.0 * np.pi, size=(_TRACE_SETTINGS, n))
     trace_dev = float(np.max(np.abs(correlation_value(prof, settings)

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "PartitionSpec",
-    "State",
     "make_ghz",
     "ghz_terms",
     "tensor_product",
@@ -123,12 +122,12 @@ def _check_unit_norm(amps):
         raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """State vector of ``n_qubits`` qubits, amplitudes indexed by bitstring."""
 
     n_qubits: int
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
@@ -139,16 +138,13 @@ class PureState:
     def dim(self):
         return _dim(self.n_qubits)
 
-    def __repr__(self):
-        return f"PureState(n_qubits={self.n_qubits})"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense 2^n x 2^n density operator, validated Hermitian, unit-trace, PSD."""
 
     n_qubits: int
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
@@ -174,12 +170,6 @@ class DensityMatrix:
     @property
     def dim(self):
         return _dim(self.n_qubits)
-
-    def __repr__(self):
-        return f"DensityMatrix(n_qubits={self.n_qubits})"
-
-
-State = PureState | DensityMatrix
 
 
 def as_density(state):
@@ -247,7 +237,7 @@ class PartitionSpec:
 def ghz_terms(n):
     """(|0...0> + |1...1>)/sqrt(2) on n qubits as its two named terms (term cap)."""
     _check_qubits(n, MAX_TERM_QUBITS, "term")  # before 2^n is formed
-    return KetParse(n, [0, _dim(n) - 1], [1.0 / np.sqrt(2.0)] * 2, 1.0, False)
+    return KetParse(n, [0, _dim(n) - 1], [1.0 / np.sqrt(2.0)] * 2, 1.0)
 
 
 def make_ghz(n):
@@ -407,12 +397,16 @@ class KetParse:
     index: np.ndarray
     amplitudes: np.ndarray
     input_norm: float
-    normalized: bool
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         idx = _freeze_index(self, _dim(self.n_qubits), "ket index")
         _check_unit_norm(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
+
+    @property
+    def normalized(self):
+        """Whether normalization was applied: ``input_norm`` is off 1 by more than ``NORM_TOL``."""
+        return abs(self.input_norm - 1.0) > NORM_TOL
 
     @cached_property
     def state(self):
@@ -495,8 +489,7 @@ def parse_ket_info(expression):
     nrm = float(np.linalg.norm(vals))
     with np.errstate(over="ignore"):
         input_norm = float(np.ldexp(nrm, exp))
-    return KetParse(n, np.array(named, dtype=np.int64), vals / nrm, input_norm,
-                    abs(input_norm - 1.0) > NORM_TOL)
+    return KetParse(n, np.array(named, dtype=np.int64), vals / nrm, input_norm)
 
 
 def parse_ket(expression):

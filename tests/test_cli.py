@@ -346,6 +346,40 @@ def test_verify_detects_sign_mutation(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.fixture
+def first_angle_flipped(monkeypatch):
+    """The profile route reads qubit 1's angle with the wrong sign.
+
+    Negating every angle, as test_verify_detects_sign_mutation does, leaves E
+    unchanged on a real profile such as the GHZ state's; flipping qubit 1
+    alone moves it for the GHZ state and for complex profiles alike.
+    """
+    original = oracle_mod.correlation_value
+
+    def flipped(state, angles):
+        angles = np.array(angles, dtype=float)
+        angles[..., 0] *= -1.0
+        return original(state, angles)
+
+    monkeypatch.setattr(oracle_mod, "correlation_value", flipped)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv", [("ghz", "--n", "3"), ("analyze", "--ket", "|000> + (0.5+0.5i)*|111>")],
+    ids=["ghz", "analyze"],
+)
+def test_oracle_identity_failure_exits_2(argv, fmt, capsys, first_angle_flipped):
+    code, out, err = run_cli(capsys, *argv, "--oracle", "--format", fmt)
+    assert (code, err) == (2, "")
+    if fmt == "json":
+        assert json.loads(out)["oracle"]["identity_ok"] is False
+    elif fmt == "csv":
+        assert dict(zip(*list(csv.reader(io.StringIO(out)))[-2:]))["identity_ok"] == "false"
+    else:
+        assert out.endswith("-> FAIL\n")
+
+
 # ---------------------------------------------------------------------------
 # every subcommand in every output format
 
@@ -458,6 +492,9 @@ def _ghz_ket(n):
         (("ghz", "--n", "64"), "term cap"),
         (("analyze", "--ket", _ghz_ket(64)), "term cap"),
         (("sweep", "--ket", _ghz_ket(64)), "term cap"),
+        (("zoo", "--nmin", "0"), "need 1 <= nmin <= nmax"),
+        (("zoo", "--nmin", "3", "--nmax", "2"), "need 1 <= nmin <= nmax"),
+        (("zoo", "--samples", "-1"), "samples must be >= 0"),
     ],
 )
 def test_oversized_requests_exit_1_before_allocating(argv, message, capsys, no_huge_arrays):

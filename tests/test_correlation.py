@@ -91,6 +91,11 @@ def test_profile_rejects_modulus_above_half():
         AntidiagonalProfile(2, np.array([0.6, 0.0]))
 
 
+def test_tensor_rejects_a_component_above_one():
+    with pytest.raises(ValueError, match="tensor component 1.1 exceeds the unit bound"):
+        CorrelationTensor(1, np.array([0.0, -1.1]))
+
+
 @pytest.mark.parametrize("cls, per_qubit", [(AntidiagonalProfile, 1), (CorrelationTensor, 2)])
 def test_profile_and_tensor_qubit_count_rule(cls, per_qubit):
     # each bad count comes with the length int(count) would imply

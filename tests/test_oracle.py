@@ -30,6 +30,7 @@ from rotbell.states import (
     random_pure_state,
     tensor_product,
 )
+from rotbell.witness import classify
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,19 @@ def test_cross_validate_checks_a_ket_parse_as_its_dense_state():
     # the n <= 6 rule comes first: a 40-qubit ket is never densified
     with pytest.raises(ValueError, match="n=40 > 6"):
         cross_validate(ghz_terms(40))
+
+
+def test_cross_validate_checks_the_ket_profile_the_report_reads():
+    # a ket's sparse and dense profiles can sum e_max in different orders, an
+    # ulp apart: the oracle must check the very numbers classify printed
+    rng = np.random.default_rng(2024)
+    config = GridSearchConfig(points_per_axis=8, refinement_rounds=0)
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        named = rng.choice(1 << n, size=int(rng.integers(2, (1 << n) + 1)), replace=False)
+        info = parse_ket_info(" + ".join(
+            f"({rng.normal():.6f}{rng.normal():+.6f}i)*|{i:0{n}b}>" for i in named))
+        assert cross_validate(info, config).e_max == classify(info).e_max
 
 
 def test_cross_validate_refuses_a_profile():

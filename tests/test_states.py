@@ -27,7 +27,7 @@ from rotbell.states import (
     state_to_json,
     tensor_product,
 )
-from rotbell.correlation import antidiagonal_profile
+from rotbell.correlation import antidiagonal_profile, correlation_tensor, correlation_value_trace
 from rotbell.witness import classify, k_sep_threshold
 
 
@@ -108,6 +108,8 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.0], [0.0, 0.6]]))
     with pytest.raises(ValueError, match="positive semidefinite"):
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+    with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(2, 2\)"):
+        DensityMatrix(1, np.eye(4) / 4)
 
 
 @pytest.mark.parametrize("n", [2, 6])
@@ -204,6 +206,8 @@ def test_tensor_product_size_mismatch():
     zero = PureState(1, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="qubits"):
         tensor_product([zero], [[1, 2]])
+    with pytest.raises(ValueError, match="1 states for 2 blocks"):
+        tensor_product([zero], [[1], [2]])
 
 
 def test_tensor_product_overlapping_blocks():
@@ -248,6 +252,8 @@ def test_mix_rejects_bad_weights():
         mix([(0.7, rho)])
     with pytest.raises(ValueError, match="qubit counts"):
         mix([(0.5, rho), (0.5, DensityMatrix.maximally_mixed(2))])
+    with pytest.raises(ValueError, match="at least one component"):
+        mix([])
 
 
 @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 0.5], [0.5, np.nan], [0.5, 0.5, np.nan]])
@@ -475,12 +481,12 @@ def test_parse_ket_keeps_the_named_terms_only():
 )
 def test_ket_parse_validates_its_terms(index, amplitudes, match):
     with pytest.raises(ValueError, match=match):
-        KetParse(3, index, amplitudes, 1.0, False)
+        KetParse(3, index, amplitudes, 1.0)
 
 
 def test_ket_parse_checks_the_cap_before_the_terms():
     with pytest.raises(ValueError, match="term cap"):
-        KetParse(MAX_TERM_QUBITS + 1, [0], [1.0], 1.0, False)
+        KetParse(MAX_TERM_QUBITS + 1, [0], [1.0], 1.0)
 
 
 def test_parse_ket_errors():
@@ -556,6 +562,9 @@ def test_state_json_rejects_garbage():
         state_from_json([1, 2, 3])
     with pytest.raises(ValueError, match="unknown state kind"):
         state_from_json({"n": 1, "kind": ["pure"], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+    for amps in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [[[1.0, 0.0]], [[0.0, 0.0]]]):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            state_from_json({"n": 1, "kind": "pure", "amplitudes": amps})
 
 
 def test_state_json_rejects_non_integer_n():
@@ -571,3 +580,37 @@ def test_state_json_rejects_unknown_keys():
         state_from_json({**doc, "comment": "ignored before"})
     with pytest.raises(ValueError, match="'matrix'"):
         state_from_json({**doc, "matrix": [[[1.0, 0.0]]]})
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        antidiagonal_profile,
+        lambda x: correlation_value_trace(x, [0.0]),
+        as_density,
+        state_to_json,
+        lambda x: tensor_product([x], [[1]]),
+    ],
+    ids=["antidiagonal_profile", "correlation_value_trace", "as_density", "state_to_json",
+         "tensor_product"],
+)
+def test_state_consumers_refuse_a_non_state(consumer):
+    with pytest.raises(TypeError, match="got list"):
+        consumer([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        (make_ghz(3), "PureState(n_qubits=3)"),
+        (DensityMatrix.maximally_mixed(2), "DensityMatrix(n_qubits=2)"),
+        (antidiagonal_profile(ghz_terms(40)), "AntidiagonalProfile(n_qubits=40)"),
+        (correlation_tensor(make_ghz(3)), "CorrelationTensor(n_qubits=3)"),
+        (parse_ket_info("|000> + |011> - |111>"), "KetParse(n_qubits=3, terms=3)"),
+        (PartitionSpec([[3, 1], [2]]), "PartitionSpec({1,3}{2})"),
+    ],
+    ids=["PureState", "DensityMatrix", "AntidiagonalProfile", "CorrelationTensor", "KetParse",
+         "PartitionSpec"],
+)
+def test_reprs_name_the_size_and_not_the_arrays(obj, text):
+    assert repr(obj) == text
