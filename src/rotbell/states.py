@@ -250,9 +250,14 @@ def tensor_product(states, assignment):
 
     ``states[i]`` lives on the qubits of ``assignment.blocks[i]`` (block labels
     in increasing order map to the block state's own qubits 1, 2, ...).  Blocks
-    need not be contiguous; amplitudes are permuted so that the result is
-    indexed in global qubit order.  Returns a PureState when every input is
-    pure, otherwise a DensityMatrix.
+    need not be contiguous.  Each block's amplitudes, or its matrix, are viewed
+    with one axis of size 2 per qubit (a matrix has its row axes, then its
+    column axes); the blocks are chained by one outer product in block order,
+    and one transpose sends every qubit's axes to its global position.  So
+    every entry is the product of one entry per block, multiplied in block
+    order.  Returns a PureState when every input is pure, otherwise a
+    DensityMatrix; the joint qubit count is checked against that type's cap
+    before anything is allocated.
     """
     if not isinstance(assignment, PartitionSpec):
         assignment = PartitionSpec(assignment)
@@ -267,12 +272,21 @@ def tensor_product(states, assignment):
                 f"state on block {block} has {st.n_qubits} qubits, block has {len(block)}"
             )
     n = assignment.n_qubits
-    order = [q for block in assignment.blocks for q in block]
-    perm = [order.index(p + 1) for p in range(n)]  # source axis of global qubit p+1
     pure = all(isinstance(st, PureState) for st in states)
-    joint = reduce(np.kron, [st.amplitudes if pure else as_density(st).matrix for st in states])
-    axes = perm if pure else perm + [p + n for p in perm]  # a matrix permutes rows and columns
-    joint = joint.reshape((2,) * len(axes)).transpose(axes).reshape(joint.shape)
+    if pure:
+        _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
+    else:
+        _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
+    blocks = assignment.blocks
+    arrays = [st.amplitudes if pure else as_density(st).matrix for st in states]
+    rows, cols, off = [0] * n, [0] * n, 0  # axes of global qubit q at index q-1
+    for arr, block in zip(arrays, blocks):
+        for j, q in enumerate(block):
+            rows[q - 1], cols[q - 1] = off + j, off + len(block) + j
+        off += arr.ndim * len(block)
+    factors = [a.reshape((2,) * a.ndim * len(b)) for a, b in zip(arrays, blocks)]
+    joint = reduce(np.multiply.outer, factors)
+    joint = joint.transpose(rows if pure else rows + cols).reshape((_dim(n),) * arrays[0].ndim)
     return PureState(n, joint) if pure else DensityMatrix(n, joint)
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .correlation import antidiagonal_profile, e_max, norm_squared_antidiagonal
-from .states import _check_k, _is_count
+from .states import MAX_TERM_QUBITS, _check_k, _is_count
 
 __all__ = [
     "ThresholdVerdict",
@@ -84,6 +85,12 @@ def k_sep_threshold(n, k):
     return float(2.0 ** (-k) * (np.pi / 2.0) ** n)
 
 
+@lru_cache(maxsize=MAX_TERM_QUBITS)
+def _ladder(n):
+    """``k_sep_threshold(n, k)`` for k = 1..n, computed once per qubit count."""
+    return tuple(k_sep_threshold(n, k) for k in range(1, n + 1))
+
+
 def max_violation_bound(n):
     """Global maximum (1/2) (pi/2)^n of r, saturated by GHZ states: the ladder's k = 1 rung."""
     return k_sep_threshold(n, 1)
@@ -111,10 +118,10 @@ def classify(state):
     em = e_max(prof)
     ns = norm_squared_antidiagonal(prof)
     r = violation_factor(ns, em, n)
+    ladder = _ladder(n)
     rungs = []
     min_excluded = None
-    for k in range(2, n + 1):
-        thr = k_sep_threshold(n, k)
+    for k, thr in enumerate(ladder[1:], start=2):
         excluded = r > thr
         if excluded and min_excluded is None:
             min_excluded = k
@@ -125,7 +132,7 @@ def classify(state):
         norm_squared=ns,
         r=r,
         lhv_violated=r > 1.0,
-        max_possible_r=max_violation_bound(n),
+        max_possible_r=ladder[0],
         thresholds=tuple(rungs),
         min_excluded_separability=min_excluded,
         critical_visibility=critical_visibility(r),

@@ -540,8 +540,8 @@ def test_ket_commands_run_on_the_terms_without_a_pure_state(fmt, details, capsys
 _CHILD_ADDRESS_SPACE = 256 << 20  # bytes; a 2^26 amplitude vector alone is 1 GiB
 
 
-def _run_in_small_address_space(*argv):
-    """Run the CLI in a child process whose address space is capped at 256 MiB."""
+def _run_in_small_address_space(*argv, program=("-m", "rotbell.cli")):
+    """Run the CLI, or another ``program``, in a child capped at 256 MiB of address space."""
     resource = pytest.importorskip("resource")
 
     def limit_child():
@@ -552,7 +552,7 @@ def _run_in_small_address_space(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     # one BLAS thread: the limit measures the program, not the host's thread-pool reservations
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *program, *argv], env=env,
                           capture_output=True, text=True, timeout=120, preexec_fn=limit_child)
 
 
@@ -608,6 +608,29 @@ def test_refusals_in_a_small_address_space_take_one_line(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+_OVER_CAP_BLOCKS = """
+import numpy as np
+from rotbell.states import random_density_matrix, random_pure_state, tensor_product
+rng = np.random.default_rng(0)
+for blocks in ([random_density_matrix(7, rng)] * 2, [random_pure_state(14, rng)] * 2):
+    m = blocks[0].n_qubits
+    try:
+        tensor_product(blocks, [range(1, m + 1), range(m + 1, 2 * m + 1)])
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_tensor_product_refuses_an_over_cap_joint_before_allocating():
+    # each joint needs 4 GiB: two 7-qubit matrices give 2^14 x 2^14, two 14-qubit states 2^28
+    proc = _run_in_small_address_space(program=("-c", _OVER_CAP_BLOCKS))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        f"n_qubits=14 exceeds the dense-matrix cap of {MAX_DENSE_QUBITS}",
+        f"n_qubits=28 exceeds the pure-state cap of {MAX_PURE_QUBITS}",
+    ]
+
+
 def test_zoo_16_qubits_samples_profiles(capsys, no_huge_arrays):
     code, out, _ = run_cli(capsys, "zoo", "--nmin", "16", "--nmax", "16", "--samples", "1")
     assert code == 0
@@ -626,6 +649,8 @@ _GOLDEN_CASES = {
     ),
     "sweep-density": ("sweep", "--input", "{dens3}", "--steps", "6"),
     "zoo": ("zoo", "--nmin", "2", "--nmax", "4", "--samples", "3", "--seed", "7"),
+    "zoo-n6-7": ("zoo", "--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", "11"),
+    "zoo-n8-10": ("zoo", "--nmin", "8", "--nmax", "10", "--samples", "5", "--seed", "12"),
     **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
 }
 

@@ -4,7 +4,9 @@ White noise only touches the diagonal, so the noisy antidiagonal is exactly
 V times the clean one, and a mixture's profile is the weighted sum of its
 terms' profiles.  The CLI relies on both facts bit for bit, and on a parsed
 ket's sparse profile, built from its named terms alone, being the profile of
-its dense state.  Every evaluation
+its dense state.  A tensor product is, bit for bit, the index-by-index
+product of its blocks in block order, and every sampled product term obeys
+the (1/2)^k bound of its own partition.  Every evaluation
 of E runs through one contraction of the profile, which is checked here
 against the dense operator trace, and every pointwise route evaluates a
 stack of settings exactly as it evaluates each row; r depends only on the
@@ -14,11 +16,14 @@ ValueError alone and reads every text of its documented grammar as the
 per-index sums of its coefficients, normalized.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rotbell.states as states_mod
 from rotbell.cli import _sampled_k_separable_profile
 from rotbell.correlation import (
     AntidiagonalProfile,
@@ -29,8 +34,10 @@ from rotbell.correlation import (
     correlation_value_trace,
     e_max,
 )
+from rotbell.separability import sample_partition, verify_antidiagonal_bound
 from rotbell.states import (
     DensityMatrix,
+    PartitionSpec,
     PureState,
     add_white_noise,
     as_density,
@@ -39,6 +46,8 @@ from rotbell.states import (
     random_density_matrix,
     random_pure_state,
     sample_k_separable,
+    sample_product_terms,
+    tensor_product,
 )
 from rotbell.witness import classify
 
@@ -74,6 +83,63 @@ def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
     dense = antidiagonal_profile(sample_k_separable(n, k, n_terms=2, rng_seed=rng_seed))
     summed = _sampled_k_separable_profile(n, k, rng_seed)
     assert summed.values.tobytes() == dense.values.tobytes()
+
+
+@st.composite
+def placed_blocks(draw, nmax=7):
+    """Random block states on a random partition of {1..N}; its blocks are mostly non-contiguous.
+
+    Either every block is pure, or each block is independently pure or mixed.
+    """
+    n = draw(st.integers(1, nmax))
+    rng = np.random.default_rng(draw(seeds))
+    part = sample_partition(n, draw(st.integers(1, n)), rng)
+    mixed = draw(st.booleans())
+    return [
+        random_density_matrix(len(b), rng) if mixed and draw(st.booleans())
+        else random_pure_state(len(b), rng)
+        for b in part.blocks
+    ], part
+
+
+def _restricted(n, block):
+    """x restricted to ``block`` for every x in [0, 2^n): its bits at the block's labels."""
+    x = np.arange(1 << n)
+    return sum(((x >> (n - q)) & 1) << (len(block) - 1 - j) for j, q in enumerate(block))
+
+
+@SETTINGS
+@given(placed_blocks())
+@example(([random_density_matrix(2, np.random.default_rng(1)),
+           random_pure_state(2, np.random.default_rng(2)),
+           random_pure_state(1, np.random.default_rng(3))],
+          PartitionSpec([[2, 5], [1, 4], [3]])))
+def test_tensor_product_is_the_product_over_blocks_in_block_order(placed):
+    """psi[x] = prod_b a_b[x_b] and rho[x, y] = prod_b m_b[x_b, y_b], multiplied in block order."""
+    blocks, part = placed
+    joint = tensor_product(blocks, part)
+    pure = isinstance(joint, PureState)
+    want = None
+    for blk, block in zip(blocks, part.blocks):
+        xb = _restricted(part.n_qubits, block)
+        factor = blk.amplitudes[xb] if pure else as_density(blk).matrix[np.ix_(xb, xb)]
+        want = factor if want is None else want * factor
+    got = joint.amplitudes if pure else joint.matrix
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 8), seeds)
+def test_every_sampled_term_obeys_the_bound_of_its_own_partition(data, n, seed):
+    """Each product term over k' >= k blocks has every antidiagonal modulus at most (1/2)^k'."""
+    k = data.draw(st.integers(1, n))
+    with mock.patch.object(states_mod, "tensor_product", wraps=tensor_product) as placed:
+        terms = sample_product_terms(n, k, data.draw(st.integers(1, 4)), rng_seed=seed)
+    assert placed.call_count == len(terms)
+    for (_, term), call in zip(terms, placed.call_args_list):
+        part = call.args[1]
+        assert part.k >= k
+        assert verify_antidiagonal_bound(term, part)[1]
 
 
 def test_antidiagonal_profile_is_idempotent():
