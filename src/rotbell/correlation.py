@@ -122,7 +122,7 @@ class CorrelationTensor:
 
     def to_json(self):
         """Component list in index order ((i1..iN) packed big-endian, x=0, y=1)."""
-        return [float(c) for c in self.components]
+        return self.components.tolist()
 
 
 def _evaluate(prof, phases):

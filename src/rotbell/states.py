@@ -172,14 +172,25 @@ class DensityMatrix:
         return _dim(self.n_qubits)
 
 
+def _require_state(state):
+    """Return ``state`` if it is a PureState or DensityMatrix; raise TypeError otherwise."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    return state
+
+
+def _dense_matrix(state):
+    """The one rule for a state's dense matrix: its own, or a pure state's projector (capped)."""
+    if isinstance(_require_state(state), DensityMatrix):
+        return state.matrix
+    _check_qubits(state.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
 def as_density(state):
     """Coerce a PureState to its projector (dense-matrix cap); pass a DensityMatrix through."""
-    if isinstance(state, DensityMatrix):
-        return state
-    if isinstance(state, PureState):
-        _check_qubits(state.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
-        return DensityMatrix(state.n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    mat = _dense_matrix(state)
+    return state if isinstance(state, DensityMatrix) else DensityMatrix(state.n_qubits, mat)
 
 
 @dataclass(frozen=True, eq=True)
@@ -265,9 +276,7 @@ def tensor_product(states, assignment):
     if len(states) != assignment.k:
         raise ValueError(f"{len(states)} states for {assignment.k} blocks")
     for st, block in zip(states, assignment.blocks):
-        if not isinstance(st, (PureState, DensityMatrix)):
-            raise TypeError(f"expected PureState or DensityMatrix, got {type(st).__name__}")
-        if st.n_qubits != len(block):
+        if _require_state(st).n_qubits != len(block):
             raise ValueError(
                 f"state on block {block} has {st.n_qubits} qubits, block has {len(block)}"
             )
@@ -278,7 +287,7 @@ def tensor_product(states, assignment):
     else:
         _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
     blocks = assignment.blocks
-    arrays = [st.amplitudes if pure else as_density(st).matrix for st in states]
+    arrays = [st.amplitudes if pure else _dense_matrix(st) for st in states]
     rows, cols, off = [0] * n, [0] * n, 0  # axes of global qubit q at index q-1
     for arr, block in zip(arrays, blocks):
         for j, q in enumerate(block):
@@ -293,10 +302,11 @@ def tensor_product(states, assignment):
 def mix(components):
     """Convex combination sum_i w_i rho_i of same-size density matrices.
 
-    Pure components are accepted and converted to projectors.  Weights must be
-    nonnegative and sum to 1 within 1e-10.
+    Pure components enter as their projectors.  Weights must be nonnegative
+    and sum to 1 within 1e-10.  All of it, and the dense-matrix cap, is checked
+    before the sum is allocated; then the components are added one at a time.
     """
-    components = [(float(w), as_density(st)) for w, st in components]
+    components = [(float(w), _require_state(rho)) for w, rho in components]
     if not components:
         raise ValueError("mixture needs at least one component")
     n = components[0][1].n_qubits
@@ -309,21 +319,21 @@ def mix(components):
         total += w
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"mixture weights sum to {total!r}, expected 1")
+    _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
     acc = np.zeros((_dim(n), _dim(n)), dtype=complex)
     for w, rho in components:
-        acc += w * rho.matrix
+        acc += w * _dense_matrix(rho)
     return DensityMatrix(n, acc)
 
 
 def add_white_noise(rho0, visibility):
-    """V * rho0 + (1 - V) * identity / 2^N for visibility V in [0, 1]."""
+    """V * rho0 + (1 - V) * identity / 2^N for V in [0, 1]; a pure rho0 enters as its projector."""
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v} outside [0, 1]")
-    rho0 = as_density(rho0)
-    d = rho0.dim
-    noisy = v * rho0.matrix + ((1.0 - v) / d) * np.eye(d)
-    return DensityMatrix(rho0.n_qubits, noisy)
+    mat = _dense_matrix(rho0)
+    d = len(mat)
+    return DensityMatrix(rho0.n_qubits, v * mat + ((1.0 - v) / d) * np.eye(d))
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +384,9 @@ def sample_product_terms(n, k, n_terms, rng_seed):
 
 
 def sample_k_separable(n, k, n_terms, rng_seed):
-    """Random k-separable density matrix: the mixture of :func:`sample_product_terms`."""
+    """Random k-separable density matrix: :func:`mix` of :func:`sample_product_terms`."""
     _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
-    acc = np.zeros((_dim(n), _dim(n)), dtype=complex)
-    for w, term in sample_product_terms(n, k, n_terms, rng_seed):
-        acc += w * np.outer(term.amplitudes, term.amplitudes.conj())
-    return DensityMatrix(n, acc)
+    return mix(sample_product_terms(n, k, n_terms, rng_seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,6 +264,59 @@ def test_mix_refuses_nan_weights(weights):
         mix([(w, rho) for w in weights])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_mix_and_white_noise_are_their_formulas_to_the_bit(seed):
+    """mix adds w * matrix to zeros in component order; noise is v * M + ((1 - v) / d) * I."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 5
+    d = 2**n
+    states = [random_pure_state(n, rng), random_density_matrix(n, rng), random_pure_state(n, rng)]
+    mats = [s.matrix if isinstance(s, DensityMatrix) else np.outer(s.amplitudes, s.amplitudes.conj())
+            for s in states]
+    weights = rng.dirichlet(np.ones(len(states))).tolist()
+    expected = np.zeros((d, d), dtype=complex)
+    for w, m in zip(weights, mats):
+        expected += w * m
+    assert np.array_equal(mix(list(zip(weights, states))).matrix, expected)
+    v = float(rng.uniform())
+    for st, m in zip(states, mats):
+        assert np.array_equal(add_white_noise(st, v).matrix, v * m + ((1.0 - v) / d) * np.eye(d))
+
+
+def _count_validations():
+    """Count DensityMatrix validations; each one still runs its checks."""
+    return mock.patch.object(
+        DensityMatrix, "__post_init__", autospec=True, side_effect=DensityMatrix.__post_init__
+    )
+
+
+def test_mix_and_white_noise_validate_only_their_result():
+    pures = [random_pure_state(3, np.random.default_rng(seed)) for seed in range(4)]
+    with _count_validations() as validations:
+        mix([(0.25, p) for p in pures])
+    assert validations.call_count == 1
+    with _count_validations() as validations:
+        add_white_noise(pures[0], 0.5)
+    assert validations.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "weights, second, error",
+    [
+        ((0.5, np.nan), make_ghz(3), ValueError),
+        ((1.5, -0.5), make_ghz(3), ValueError),
+        ((0.5, 0.5), make_ghz(2), ValueError),
+        ((0.5, 0.5), [1.0, 0.0], TypeError),
+    ],
+    ids=["nan-weight", "negative-weight", "qubit-count", "non-state"],
+)
+def test_mix_checks_its_input_before_it_builds_a_projector(weights, second, error):
+    components = [(weights[0], make_ghz(3)), (weights[1], second)]
+    with mock.patch.object(np, "outer", side_effect=AssertionError("built a projector")):
+        with pytest.raises(error):
+            mix(components)
+
+
 def test_add_white_noise_extremes():
     rho = as_density(make_ghz(2))
     assert np.allclose(add_white_noise(rho, 1.0).matrix, rho.matrix)
@@ -357,6 +411,10 @@ def test_dense_constructors_check_cap_first():
         DensityMatrix.maximally_mixed(40)
     with pytest.raises(ValueError, match="dense-matrix cap"):
         as_density(make_ghz(14))
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        mix([(1.0, make_ghz(14))])
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        add_white_noise(make_ghz(14), 0.5)
 
 
 class _NoDraws:
@@ -590,9 +648,11 @@ def test_state_json_rejects_unknown_keys():
         as_density,
         state_to_json,
         lambda x: tensor_product([x], [[1]]),
+        lambda x: mix([(1.0, x)]),
+        lambda x: add_white_noise(x, 0.5),
     ],
     ids=["antidiagonal_profile", "correlation_value_trace", "as_density", "state_to_json",
-         "tensor_product"],
+         "tensor_product", "mix", "add_white_noise"],
 )
 def test_state_consumers_refuse_a_non_state(consumer):
     with pytest.raises(TypeError, match="got list"):
