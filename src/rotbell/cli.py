@@ -39,9 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VALIDATION = 2
 
-# grid budget used by `verify` and `analyze --oracle`: small enough to keep a
-# 50-state battery interactive, large enough for refinement to converge
-_ORACLE_CONFIG = GridSearchConfig(points_per_axis=24, refinement_rounds=3, max_evaluations=2_000_000)
+_ORACLE_CONFIG = GridSearchConfig()  # the grid budget of `verify` and `analyze --oracle`
 
 # one output row per step; 1e-4 resolution in V is the finest a sweep offers
 _MAX_SWEEP_STEPS = 10_001
@@ -92,7 +90,7 @@ def _emit(fmt, payload, tables, lines):
     generators, so that only the chosen format is rendered.
     """
     if fmt == "json":
-        text = json.dumps(_round_tree(payload), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_round_tree(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -378,6 +376,8 @@ def cmd_zoo(args):
         raise ValueError(f"need 1 <= nmin <= nmax, got nmin={args.nmin}, nmax={args.nmax}")
     if args.samples < 0:
         raise ValueError("--samples must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     rows = []
     for n in range(args.nmin, args.nmax + 1):
         ghz_r = classify(ghz_terms(n)).r
@@ -436,6 +436,8 @@ def _verify_fixtures(seed):
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     entries = [
         (name, cross_validate(state, config=_ORACLE_CONFIG), gated)
         for name, state, gated in _verify_fixtures(args.seed)

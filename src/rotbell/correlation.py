@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, MAX_TERM_QUBITS, DensityMatrix, KetParse
-from .states import PureState, _check_qubits, _freeze_array, _freeze_index, _scatter, _to_pairs
+from .states import PureState, _check_qubits, _freeze_array, _freeze_index, _require_state
+from .states import _scatter, _to_pairs
 
 __all__ = [
     "AntidiagonalProfile",
@@ -218,9 +219,7 @@ def correlation_value_trace(state, angles):
     cross-validate it.  Dense, hence limited to small N, and to stacks of S
     settings whose S 4^N operator entries fit one operator of the dense cap.
     """
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    n = state.n_qubits
+    n = _require_state(state).n_qubits
     _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
 
     def values_at(a):

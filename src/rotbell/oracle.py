@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import (
-    AntidiagonalProfile,
     _evaluate,
     antidiagonal_profile,
     correlation_tensor,
@@ -32,7 +31,7 @@ from .correlation import (
     norm_squared_antidiagonal,
     norm_squared_tensor,
 )
-from .states import KetParse, _is_count
+from .states import DensityMatrix, KetParse, PureState, _is_count
 
 __all__ = [
     "GridSearchConfig",
@@ -68,12 +67,14 @@ class GridSearchConfig:
     reduced until the total number of correlation evaluations over all rounds
     fits ``max_evaluations`` (refused below 8 points per axis).  Each
     refinement round re-grids a box around the incumbent shrunk by
-    ``REFINEMENT_SHRINK``.
+    ``REFINEMENT_SHRINK``.  The defaults are the budget of ``cross_validate``
+    and of the CLI's ``verify`` and ``analyze --oracle``: small enough to keep
+    a 50-state battery interactive, large enough for refinement to converge.
     """
 
-    points_per_axis: int = 64
+    points_per_axis: int = 24
     refinement_rounds: int = 3
-    max_evaluations: int = 10_000_000
+    max_evaluations: int = 2_000_000
 
     def __post_init__(self):
         if not _is_count(self.points_per_axis, MIN_POINTS_PER_AXIS):
@@ -116,17 +117,15 @@ def maximize_grid(state, config=None):
     n = prof.n_qubits
     pts = _fit_points(cfg.points_per_axis, n, cfg.refinement_rounds, cfg.max_evaluations)
 
-    best, setting, half_width = -np.inf, None, np.pi
+    # round 0 spans the whole period: the box of half-width pi around pi, open at its end
+    best, setting, half_width = -np.inf, np.full(n, np.pi), np.pi
     for rnd in range(cfg.refinement_rounds + 1):
-        if rnd == 0:
-            axes = [np.linspace(0.0, 2.0 * np.pi, pts, endpoint=False)] * n
-        else:
-            half_width *= REFINEMENT_SHRINK
-            axes = [np.linspace(c - half_width, c + half_width, pts) for c in setting]
+        axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
         values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
         idx = np.unravel_index(np.argmax(values), values.shape)
         if values[idx] > best:
             best, setting = float(values[idx]), np.array([ax[i] for ax, i in zip(axes, idx)])
+        half_width *= REFINEMENT_SHRINK
     return GridMax(best, np.mod(setting, 2.0 * np.pi))
 
 
@@ -211,8 +210,9 @@ def cross_validate(state, config=None):
     * grid maximum at most e_max + 1e-9 (soundness);
     * grid maximum within 1e-5 of e_max (attainability; see class docstring).
     """
-    if isinstance(state, AntidiagonalProfile):
-        raise TypeError("cross_validate needs a state: the trace check requires it")
+    if not isinstance(state, (PureState, DensityMatrix, KetParse)):
+        raise TypeError("cross_validate needs a state for its trace check, "
+                        f"got {type(state).__name__}")
     n = state.n_qubits
     if n > 6:
         raise ValueError(f"cross-validation is dense and grid-heavy; n={n} > 6 refused")

@@ -6,7 +6,10 @@ Conventions used throughout the package:
   state |k1 k2 ... kN> sits at index k1*2^(N-1) + k2*2^(N-2) + ... + kN;
 * all state objects are immutable after construction and validated on
   construction, so they can be shared freely across threads;
-* samplers take an explicit integer seed and are deterministic.
+* samplers are deterministic: ``random_pure_state`` and
+  ``random_density_matrix`` draw from a numpy ``Generator`` they are given,
+  and ``sample_product_terms`` and ``sample_k_separable`` seed their own
+  from ``rng_seed``.
 """
 
 from __future__ import annotations
@@ -510,6 +513,8 @@ def parse_ket_info(expression):
     nrm = float(np.linalg.norm(vals))
     with np.errstate(over="ignore"):
         input_norm = float(np.ldexp(nrm, exp))
+    if not np.isfinite(input_norm):
+        raise ValueError("ket norm overflows float64, though each amplitude is finite")
     return KetParse(n, np.array(named, dtype=np.int64), vals / nrm, input_norm)
 
 
@@ -544,10 +549,10 @@ def _to_pairs(arr):
 
 def state_to_json(state):
     """Wire-format dict: pure states as [re, im] pairs, densities as nested rows."""
+    _require_state(state)
     for kind, (payload, _, cls) in _JSON_KINDS.items():
         if isinstance(state, cls):
             return {"n": state.n_qubits, "kind": kind, payload: _to_pairs(getattr(state, payload))}
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
 _JSON_KINDS = {"pure": ("amplitudes", 2, PureState), "density": ("matrix", 3, DensityMatrix)}
@@ -568,7 +573,10 @@ def state_from_json(obj):
         raise ValueError(f"unknown state JSON field(s) {', '.join(map(repr, unknown))}")
     if payload not in obj:
         raise ValueError(f'{kind} state JSON needs a "{payload}" array')
-    pairs = np.asarray(obj[payload], dtype=float)
-    if pairs.ndim != ndim or pairs.shape[-1] != 2:
+    try:
+        pairs = np.asarray(obj[payload])  # JSON numbers come out as int or float
+    except ValueError:  # ragged nesting: refused below as an object array
+        pairs = np.array(None)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != ndim or pairs.shape[-1] != 2:
         raise ValueError(f"{payload} must be nested arrays of [re, im] pairs")
     return cls(n, pairs[..., 0] + 1j * pairs[..., 1])

@@ -13,6 +13,7 @@ import pytest
 import rotbell.cli as cli_mod
 import rotbell.oracle as oracle_mod
 from rotbell.cli import main
+from rotbell.oracle import cross_validate
 from rotbell.states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
@@ -21,6 +22,7 @@ from rotbell.states import (
     PureState,
     as_density,
     parse_ket,
+    parse_ket_info,
     random_density_matrix,
     random_pure_state,
     render_ket,
@@ -412,6 +414,10 @@ def _short_battery(seed):
     return fixtures
 
 
+def _refuse_non_json(name):
+    raise AssertionError(f"{name} is not a JSON number")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command", sorted(_MATRIX))
 def test_every_command_in_every_format(command, fmt, tmp_path, capsys, monkeypatch):
@@ -421,7 +427,7 @@ def test_every_command_in_every_format(command, fmt, tmp_path, capsys, monkeypat
     assert (code, err) == (0, "")
     assert out.endswith("\n")
     if fmt == "json":
-        assert isinstance(json.loads(out), dict)
+        assert isinstance(json.loads(out, parse_constant=_refuse_non_json), dict)
     elif fmt == "csv":
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) >= 2 and all(len(row) > 1 for row in rows)
@@ -438,6 +444,24 @@ def test_analyze_oracle_reports_gap_without_gating(tmp_path, capsys):
     assert (row["identity_ok"], row["attainability_gated"], row["attainability_ok"]) == (
         "true", "false", "false"
     )
+
+
+@pytest.mark.parametrize("source", ["pure3", "mixed3", "pure4", "mixed4", "ket"])
+def test_analyze_oracle_prints_the_library_report(source, tmp_path, capsys):
+    # one grid budget: the CLI's oracle block is cross_validate's own report
+    if source == "ket":
+        ket = "(0.6+0.2i)*|0000> - 0.8*|1011> + 0.3*|0110> + |1111>"
+        state, argv = parse_ket_info(ket), ("--ket", ket)
+    else:
+        n, pure = int(source[-1]), source.startswith("pure")
+        rng = np.random.default_rng((41, n, pure))
+        state = random_pure_state(n, rng) if pure else random_density_matrix(n, rng)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json(state)))
+        argv = ("--input", str(path))
+    code, out, _ = run_cli(capsys, "analyze", *argv, "--oracle", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["oracle"] == cli_mod._round_tree(cross_validate(state).to_dict())
 
 
 def test_ghz_oracle_gates_attainability(capsys):
@@ -495,6 +519,10 @@ def _ghz_ket(n):
         (("zoo", "--nmin", "0"), "need 1 <= nmin <= nmax"),
         (("zoo", "--nmin", "3", "--nmax", "2"), "need 1 <= nmin <= nmax"),
         (("zoo", "--samples", "-1"), "samples must be >= 0"),
+        (("zoo", "--seed", "-1", "--samples", "0"), "seed must be >= 0"),
+        (("zoo", "--seed", "-1"), "seed must be >= 0"),
+        (("verify", "--seed", "-1"), "seed must be >= 0"),
+        (("analyze", "--ket", "1.7e308|0>+1.7e308|1>", "--format", "json"), "norm overflows"),
     ],
 )
 def test_oversized_requests_exit_1_before_allocating(argv, message, capsys, no_huge_arrays):

@@ -29,6 +29,7 @@ from rotbell.states import (
     tensor_product,
 )
 from rotbell.correlation import antidiagonal_profile, correlation_tensor, correlation_value_trace
+from rotbell.oracle import cross_validate
 from rotbell.witness import classify, k_sep_threshold
 
 
@@ -556,6 +557,8 @@ def test_parse_ket_errors():
         parse_ket("|0> - |0>")
     with pytest.raises(ValueError, match="finite"):
         parse_ket("1e400|0> + |1>")
+    with pytest.raises(ValueError, match="norm overflows"):
+        parse_ket("1.7e308|0> + 1.7e308|1>")  # each sum is finite, their norm is not
     with pytest.raises(ValueError, match="empty"):
         parse_ket("   ")
     with pytest.raises(ValueError, match="dangling"):
@@ -620,7 +623,10 @@ def test_state_json_rejects_garbage():
         state_from_json([1, 2, 3])
     with pytest.raises(ValueError, match="unknown state kind"):
         state_from_json({"n": 1, "kind": ["pure"], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
-    for amps in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [[[1.0, 0.0]], [[0.0, 0.0]]]):
+    for amps in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [[[1.0, 0.0]], [[0.0, 0.0]]],
+                 [["1", "0"], ["0", "0"]], [[True, False], [False, False]], [[1.0, 0.0], [0.0]],
+                 [[1.0, None], [0.0, 0.0]], [[1.0, {}], [0.0, 0.0]], [[10**30, 0], [0, 0]],
+                 "10", None):
         with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
             state_from_json({"n": 1, "kind": "pure", "amplitudes": amps})
 
@@ -650,9 +656,10 @@ def test_state_json_rejects_unknown_keys():
         lambda x: tensor_product([x], [[1]]),
         lambda x: mix([(1.0, x)]),
         lambda x: add_white_noise(x, 0.5),
+        cross_validate,
     ],
     ids=["antidiagonal_profile", "correlation_value_trace", "as_density", "state_to_json",
-         "tensor_product", "mix", "add_white_noise"],
+         "tensor_product", "mix", "add_white_noise", "cross_validate"],
 )
 def test_state_consumers_refuse_a_non_state(consumer):
     with pytest.raises(TypeError, match="got list"):
