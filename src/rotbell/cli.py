@@ -1,9 +1,10 @@
 """Command-line front end: analyze states, sweep noise, tabulate thresholds, self-verify.
 
 Exit codes: 0 success, 1 malformed input or configuration, 2 validation
-failure (an oracle cross-check that should hold did not).  Output is
-deterministic: a fixed command line and seed produce byte-identical output.
-Numeric fields are printed with 12 significant digits.
+failure (an oracle cross-check that should hold did not).  A usage error
+prints the usage line and, under it, ``error: <what is wrong>``, and exits 1.
+Output is deterministic: a fixed command line and seed produce
+byte-identical output.  Numeric fields are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class _Parser(argparse.ArgumentParser):
     # validation failures, so remap usage problems to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
 
@@ -132,6 +134,12 @@ def _add_state_source(p):
 
 
 def _build_parser():
+    """The argparse tree of every subcommand; built once, as ``_PARSER``.
+
+    Each subcommand binds its ``cmd_*`` handler here, through ``set_defaults``,
+    so the handlers are bound once per process: replacing a ``cmd_*`` later
+    does not reach ``main``.
+    """
     parser = _Parser(prog="rotbell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -468,9 +476,12 @@ def cmd_verify(args):
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
+_PARSER = _build_parser()  # parse_args returns a fresh Namespace on every call
+
+
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,7 @@ reason the gap check is reported separately from the four identity checks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -188,7 +188,9 @@ class ValidationReport:
         return self.identity_ok and (self.attainability_ok or not attainability_gated)
 
     def to_dict(self):
-        return {**asdict(self), "identity_ok": self.identity_ok,
+        """Fields, each check a dict, then the two verdicts; no deep copy, as in WitnessReport."""
+        return {**vars(self), "checks": tuple(dict(vars(c)) for c in self.checks),
+                "identity_ok": self.identity_ok,
                 "attainability_ok": self.attainability_ok}
 
 

@@ -413,8 +413,9 @@ class KetParse:
     ``index`` lists the named basis indices in increasing order and
     ``amplitudes`` their normalized sums; every other amplitude is zero.
     Validated like a PureState (finite, unit norm within ``NORM_TOL``), but
-    over the named terms only, under the term cap; ``state`` places them
-    into a dense PureState on first use, under the pure-state cap.
+    over the named terms only, under the term cap; ``input_norm`` must be
+    finite and positive.  ``state`` places the terms into a dense PureState
+    on first use, under the pure-state cap.
     """
 
     n_qubits: int
@@ -426,6 +427,8 @@ class KetParse:
         _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         idx = _freeze_index(self, _dim(self.n_qubits), "ket index")
         _check_unit_norm(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
+        if not (np.isfinite(self.input_norm) and self.input_norm > 0):
+            raise ValueError(f"input_norm must be finite and positive, got {self.input_norm!r}")
 
     @property
     def normalized(self):

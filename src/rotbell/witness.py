@@ -12,7 +12,7 @@ threshold excludes nothing, so reports say "not excluded", never
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,7 +61,8 @@ class WitnessReport:
         return self.min_excluded_separability == 2
 
     def to_dict(self):
-        return asdict(self)
+        """``dataclasses.asdict(self)`` without its deep copy: the fields, each rung a dict."""
+        return {**vars(self), "thresholds": tuple(dict(vars(t)) for t in self.thresholds)}
 
 
 def violation_factor(norm_squared, e_max_value, n):

@@ -39,6 +39,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env(**extra):
+    """This process's environment, with the checkout's ``src`` first on PYTHONPATH."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -192,10 +200,70 @@ def test_analyze_missing_file_exits_1(capsys):
     assert "error:" in err
 
 
-def test_usage_errors_exit_1(capsys):
-    assert run_cli(capsys, "analyze")[0] == 1  # no input source
-    assert run_cli(capsys, "frobnicate")[0] == 1  # unknown command
-    assert run_cli(capsys, "analyze", "--ket", "|0>", "--input", "x")[0] == 1  # both sources
+_USAGE_ERRORS = {  # argv -> stderr, at 80 columns (argparse wraps usage to the terminal)
+    ("zoo", "--seed", "abc"): (
+        "usage: rotbell zoo [-h] [--nmin NMIN] [--nmax NMAX] [--samples SAMPLES]\n"
+        "                   [--seed SEED] [--format {json,csv,text}]\n"
+        "error: argument --seed: invalid int value: 'abc'\n"
+    ),
+    ("analyze", "--ket", "|0>", "--format", "yaml"): (
+        "usage: rotbell analyze [-h] (--ket KET | --input INPUT)\n"
+        "                       [--format {json,csv,text}] [--oracle] [--details]\n"
+        "error: argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')\n"
+    ),
+    ("frobnicate",): (
+        "usage: rotbell [-h] {analyze,ghz,sweep,zoo,verify} ...\n"
+        "error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'analyze', 'ghz', 'sweep', 'zoo', 'verify')\n"
+    ),
+}
+
+
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second round parses with the parser the first one used
+        for argv, err in _USAGE_ERRORS.items():
+            assert run_cli(capsys, *argv) == (1, "", err)
+        assert run_cli(capsys, "analyze")[0] == 1  # no input source
+        assert run_cli(capsys, "analyze", "--ket", "|0>", "--input", "x")[0] == 1  # both sources
+
+
+# Each command after the first could see what the one before it set: a
+# default after an explicit value, a flag left off after it was given, and a
+# valid command after a usage error and after -h.
+_SEQUENCE = [
+    ("sweep", "--ket", "|00>+|11>", "--steps", "5", "--format", "csv"),
+    ("sweep", "--ket", "|00>+|11>", "--format", "csv"),  # default --steps 101
+    ("analyze", "--ket", "|000>+|111>", "--oracle", "--format", "json"),
+    ("zoo", "--seed", "abc"),
+    ("analyze", "--ket", "|000>+|111>", "--format", "json"),
+    ("-h",),
+    ("analyze", "--ket", "|000>+|111>"),
+    ("sweep", "-h"),
+]
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    procs = [subprocess.Popen([sys.executable, "-m", "rotbell.cli", *argv],
+                              env=_child_env(COLUMNS="80"), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for argv in _SEQUENCE]
+    fresh = []
+    for p in procs:  # every child is reaped before the first comparison can fail
+        out, err = p.communicate(timeout=120)
+        fresh.append((p.returncode, out, err))
+    for argv, want in zip(_SEQUENCE, fresh):
+        assert run_cli(capsys, *argv) == want, argv
+
+
+def test_main_builds_at_most_one_parser(capsys, monkeypatch):
+    calls = []
+    build = cli_mod._build_parser
+    monkeypatch.setattr(cli_mod, "_build_parser", lambda: calls.append(None) or build())
+    for argv in [*_SEQUENCE, ("ghz", "--n", "3"), ("zoo", "--nmax", "3")]:  # ten commands
+        run_cli(capsys, *argv)
+    assert len(calls) <= 1
 
 
 def test_determinism_byte_identical(capsys):
@@ -575,11 +643,8 @@ def _run_in_small_address_space(*argv, program=("-m", "rotbell.cli")):
     def limit_child():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     # one BLAS thread: the limit measures the program, not the host's thread-pool reservations
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = _child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, *program, *argv], env=env,
                           capture_output=True, text=True, timeout=120, preexec_fn=limit_child)
 

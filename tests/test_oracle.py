@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -332,3 +333,37 @@ def test_report_dict_shape():
     assert {"trace_equivalence", "dual_norm", "quadrature_norm", "grid_soundness",
             "attainability"} == {c["name"] for c in d["checks"]}
     assert d["identity_ok"] is True
+
+
+def _leaf_types(tree):
+    """``tree`` with each leaf replaced by its type; dict keys stay in their order."""
+    if isinstance(tree, dict):
+        return [(k, _leaf_types(v)) for k, v in tree.items()]
+    if isinstance(tree, (list, tuple)):
+        return type(tree), [_leaf_types(v) for v in tree]
+    return type(tree)
+
+
+def _assert_is_asdict(report):
+    got, want = report.to_dict(), dataclasses.asdict(report)
+    want.update((k, v) for k, v in got.items() if k not in want)  # the oracle's two verdicts
+    assert got == want
+    assert repr(got) == repr(want)  # key order and every digit
+    assert _leaf_types(got) == _leaf_types(want)
+
+
+_SMALL_GRID = GridSearchConfig(points_per_axis=8, refinement_rounds=0)  # to_dict reads no grid
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("make", [random_pure_state, random_density_matrix])
+def test_report_to_dict_is_a_shallow_asdict(make, n):
+    for seed in range(3):
+        state = make(n, np.random.default_rng((seed, n)))
+        _assert_is_asdict(classify(state))
+        _assert_is_asdict(cross_validate(state, config=_SMALL_GRID))
+
+
+def test_report_to_dict_is_a_shallow_asdict_at_22_qubits():
+    ket = parse_ket_info(f"(0.6+0.2i)*|{'0' * 22}> - 0.8*|{'1' * 22}> + |{'01' * 11}>")
+    _assert_is_asdict(classify(ket))

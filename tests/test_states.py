@@ -543,6 +543,12 @@ def test_ket_parse_validates_its_terms(index, amplitudes, match):
         KetParse(3, index, amplitudes, 1.0)
 
 
+@pytest.mark.parametrize("input_norm", [np.nan, np.inf, -np.inf, -3.0, 0.0])
+def test_ket_parse_refuses_an_input_norm_that_no_ket_has(input_norm):
+    with pytest.raises(ValueError, match="input_norm must be finite and positive"):
+        KetParse(1, [0], [1.0], input_norm)
+
+
 def test_ket_parse_checks_the_cap_before_the_terms():
     with pytest.raises(ValueError, match="term cap"):
         KetParse(MAX_TERM_QUBITS + 1, [0], [1.0], 1.0)
