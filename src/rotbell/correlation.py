@@ -126,23 +126,41 @@ class CorrelationTensor:
         return self.components.tolist()
 
 
-def _evaluate(prof, phases):
-    """2 Re sum_k rho_ad(k) exp(i phi_k) on S grids spanned by per-qubit phases.
+_BLOCK_POINTS = 4096  # values per block of _evaluate_blocks: 64 KiB of complex temporaries
+
+
+def _evaluate_blocks(prof, phases):
+    """E on S grids spanned by per-qubit phases, in consecutive blocks along qubit 1.
 
     ``phases[j]`` has shape (S, m_j) and lists exp(i alpha) for the settings
-    of qubit j+1 in each of the S grids; the result has shape
-    (S, m_1, ..., m_N).  One grid is S = 1; S scattered settings are
-    m_j = 1.  The profile is contracted one qubit at a time, k2 first, with
-    [ph_j; conj(ph_j)]: bit 0 carries +alpha_j and bit 1 carries -alpha_j.
-    Each step turns the leading bit axis into a trailing setting axis, so the
-    grid axes come out in qubit order.  Qubit 1 always enters with +alpha_1.
+    of qubit j+1 in each of the S grids.  The profile is contracted once, one
+    qubit at a time, k2 first, with [ph_j; conj(ph_j)]: bit 0 carries
+    +alpha_j and bit 1 carries -alpha_j.  Each step turns the leading bit axis
+    into a trailing setting axis, so the grid axes come out in qubit order.
+    Then qubit 1 enters with +alpha_1, a block of its rows at a time: each
+    yield is ``(start, values)``, where ``values`` has shape
+    (S, rows, m_2, ..., m_N) and holds E at qubit 1's settings
+    start..start+rows-1.  A block holds about ``_BLOCK_POINTS`` values, or
+    one row when a row is larger, so no caller needs the whole grid at once.
     """
-    acc = prof.full_values()[None]
+    acc = prof.full_values()[None]  # checks the pure-state cap before any grid array exists
     for ph in phases[1:]:
         acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ np.stack([ph, np.conj(ph)], axis=1)
-    acc = acc.reshape([len(acc)] + [ph.shape[1] for ph in phases[1:]])
+    acc = acc.reshape([len(acc)] + [ph.shape[1] for ph in phases[1:]])[:, None]
     lead = phases[0].reshape(phases[0].shape + (1,) * (len(phases) - 1))
-    return 2.0 * (lead * acc[:, None]).real
+    rows = max(1, _BLOCK_POINTS // acc.size)
+    for start in range(0, lead.shape[1], rows):
+        yield start, 2.0 * (lead[:, start:start + rows] * acc).real
+
+
+def _evaluate(prof, phases):
+    """2 Re sum_k rho_ad(k) exp(i phi_k) on S grids, as one (S, m_1, ..., m_N) array.
+
+    One grid is S = 1; S scattered settings are m_j = 1.  The array is the
+    blocks of ``_evaluate_blocks`` joined along qubit 1's axis, so each value
+    comes from the same arithmetic whichever route reads it.
+    """
+    return np.concatenate([values for _, values in _evaluate_blocks(prof, phases)], axis=1)
 
 
 def _check_angles(angles, n, values_at):

@@ -16,6 +16,7 @@ reason the gap check is reported separately from the four identity checks.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .correlation import (
     _evaluate,
+    _evaluate_blocks,
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
@@ -53,6 +55,8 @@ MIN_POINTS_PER_AXIS = 8
 REFINEMENT_SHRINK = 0.1
 _TRACE_SETTINGS = 100
 _TRACE_SETTINGS_SEED = 0x5EED
+
+_log = logging.getLogger(__name__)
 
 
 class BudgetExceededError(RuntimeError):
@@ -107,10 +111,15 @@ def maximize_grid(state, config=None):
 
     Returns ``GridMax(value, setting)``.  Deterministic for a given input:
     within a round the first maximum in C index order wins, and a later round
-    replaces the incumbent only if it is strictly larger.  Symmetry-equivalent
-    maxima agree only to roundoff, so which of them is reported can change
-    with the summation order.  The value can never exceed ``e_max(state)``
-    (up to roundoff); see the module docstring for when it reaches it.
+    replaces the incumbent only if it is strictly larger.  Each round scans
+    its grid in the blocks of ``_evaluate_blocks`` along qubit 1 and keeps a
+    running maximum, taking a later block only when it is strictly larger,
+    so the tie rule is that of one argmax over the whole grid, which is never
+    allocated.  Symmetry-equivalent maxima agree only to roundoff, so which
+    of them is reported can change with the summation order.  The value can
+    never exceed ``e_max(state)`` (up to roundoff); see the module docstring
+    for when it reaches it.  One debug record on the ``rotbell.oracle``
+    logger gives the effective points per axis and the evaluations spent.
     """
     cfg = config if config is not None else GridSearchConfig()
     prof = antidiagonal_profile(state)
@@ -121,11 +130,19 @@ def maximize_grid(state, config=None):
     best, setting, half_width = -np.inf, np.full(n, np.pi), np.pi
     for rnd in range(cfg.refinement_rounds + 1):
         axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
-        values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
-        idx = np.unravel_index(np.argmax(values), values.shape)
-        if values[idx] > best:
-            best, setting = float(values[idx]), np.array([ax[i] for ax, i in zip(axes, idx)])
+        top, flat = -np.inf, 0
+        grid = _evaluate_blocks(prof, [np.exp(1j * ax)[None] for ax in axes])
+        for blocks, (start, values) in enumerate(grid, 1):
+            i = int(np.argmax(values))
+            if values.flat[i] > top:
+                top, flat = float(values.flat[i]), start * pts ** (n - 1) + i
+        if top > best:
+            idx = np.unravel_index(flat, (pts,) * n)
+            best, setting = top, np.array([ax[i] for ax, i in zip(axes, idx)])
         half_width *= REFINEMENT_SHRINK
+    rounds = cfg.refinement_rounds + 1
+    _log.debug("maximize_grid: n=%d points_per_axis=%d rounds=%d evaluations=%d "
+               "blocks_per_round=%d", n, pts, rounds, rounds * pts**n, blocks)
     return GridMax(best, np.mod(setting, 2.0 * np.pi))
 
 

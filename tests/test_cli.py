@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -270,6 +271,18 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--ket", "|000>+|111>", "--format", "json")
     _, out2, _ = run_cli(capsys, "analyze", "--ket", "|000>+|111>", "--format", "json")
     assert out1 == out2
+
+
+
+def test_oracle_debug_record_leaves_stdout_alone(capsys, caplog):
+    argv = ("analyze", "--ket", "|000>+|111>", "--oracle", "--format", "json")
+    fresh = subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=_child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert (fresh.returncode, fresh.stderr) == (0, "")  # nothing on stderr by default
+    with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
+        assert run_cli(capsys, *argv) == (0, fresh.stdout, "")
+    assert [r.getMessage() for r in caplog.records] == [
+        "maximize_grid: n=3 points_per_axis=24 rounds=4 evaluations=55296 blocks_per_round=4"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import logging
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 import rotbell.cli as cli_mod
+import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
 from rotbell.correlation import (
+    _evaluate,
     antidiagonal_profile,
     correlation_value,
     e_max,
@@ -50,8 +54,13 @@ def test_grid_finds_ghz3_maximum():
 
 
 def test_grid_on_maximally_mixed():
-    value, _setting = maximize_grid(DensityMatrix.maximally_mixed(3))
-    assert value == 0.0
+    # E vanishes everywhere, as it does for the W ket: no later block or round
+    # is strictly larger than the first C-order point of round 0, (0, 0, 0)
+    for state in (DensityMatrix.maximally_mixed(3), parse_ket("|001>+|010>+|100>")):
+        assert not antidiagonal_profile(state).values.any()
+        value, setting = maximize_grid(state)
+        assert repr(value) == "0.0"
+        assert setting.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_grid_matches_two_qubit_closed_maximizer():
@@ -172,6 +181,86 @@ def test_grid_golden_output(name, config):
         return
     value, setting = maximize_grid(_grid_state(name), GridSearchConfig(*config))
     assert {"value": repr(value), "setting": [repr(float(x)) for x in setting]} == want
+
+
+def _materialised_grid(state, config):
+    """maximize_grid's rounds, each with one argmax over its whole ``_evaluate`` grid."""
+    prof = antidiagonal_profile(state)
+    n = prof.n_qubits
+    pts = oracle_mod._fit_points(config.points_per_axis, n, config.refinement_rounds,
+                                 config.max_evaluations)
+    best, setting, half_width = -np.inf, np.full(n, np.pi), np.pi
+    for rnd in range(config.refinement_rounds + 1):
+        axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
+        values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
+        idx = np.unravel_index(np.argmax(values), values.shape)
+        if values[idx] > best:
+            best, setting = float(values[idx]), np.array([ax[i] for ax, i in zip(axes, idx)])
+        half_width *= oracle_mod.REFINEMENT_SHRINK
+    return best, np.mod(setting, 2.0 * np.pi)
+
+
+@pytest.mark.parametrize("config", _GRID_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("make", [random_pure_state, random_density_matrix])
+def test_blocked_grid_matches_the_materialised_grid(make, config, monkeypatch):
+    cfg = GridSearchConfig(*config)
+    for n in range(1, 7):
+        state = make(n, np.random.default_rng((43, n)))
+        try:
+            got = maximize_grid(state, cfg)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                _materialised_grid(state, cfg)
+            continue
+        with monkeypatch.context() as m:  # one block per round: the whole grid at once
+            m.setattr(correlation_mod, "_BLOCK_POINTS", 1 << 62)
+            value, setting = _materialised_grid(state, cfg)
+        assert repr(got.value) == repr(value), (n, config)
+        assert got.setting.tobytes() == setting.tobytes(), (n, config)
+
+
+def test_grid_blocks_need_not_divide_the_axis(monkeypatch):
+    # the default grid at N = 3 has 24 points per axis: rows of 24^2 = 576
+    # points, 7 rows to a block of at most 4,096, so 7 + 7 + 7 + 3 rows
+    cfg = GridSearchConfig()
+    assert oracle_mod._fit_points(cfg.points_per_axis, 3, cfg.refinement_rounds,
+                                  cfg.max_evaluations) == 24
+    prof = antidiagonal_profile(random_density_matrix(3, np.random.default_rng(44)))
+    phases = [np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))[None]] * 3
+    blocks = list(correlation_mod._evaluate_blocks(prof, phases))
+    assert [(start, values.shape) for start, values in blocks] == [
+        (0, (1, 7, 24, 24)), (7, (1, 7, 24, 24)), (14, (1, 7, 24, 24)), (21, (1, 3, 24, 24))]
+    monkeypatch.setattr(correlation_mod, "_BLOCK_POINTS", 1 << 62)
+    [(start, whole)] = correlation_mod._evaluate_blocks(prof, phases)
+    assert start == 0 and whole.shape == (1, 24, 24, 24)
+    assert np.concatenate([values for _, values in blocks], axis=1).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_grid_search_never_allocates_the_whole_grid(n):
+    # the whole N = 4 grid at 24 points is 5.3 MB of complex values alone
+    state = random_density_matrix(n, np.random.default_rng((46, n)))
+    maximize_grid(state)  # any one-time set-up happens outside the measurement
+    tracemalloc.start()
+    try:
+        maximize_grid(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_grid_search_logs_one_debug_record_per_call(caplog):
+    state = random_pure_state(5, np.random.default_rng(47))
+    with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
+        maximize_grid(state)  # 24 points per axis fit the default budget as 13 at N = 5
+        maximize_grid(make_ghz(3), GridSearchConfig(8, 0, 512))
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=5 points_per_axis=13 rounds=4 "
+         "evaluations=1485172 blocks_per_round=13"),
+        ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=3 points_per_axis=8 rounds=1 "
+         "evaluations=512 blocks_per_round=1"),
+    ]
 
 
 # ---------------------------------------------------------------------------
