@@ -24,11 +24,13 @@ every other one zero, under the term cap of 63 qubits).  Profiles of a
 PureState or a DensityMatrix are dense; the profile of a parsed ket
 (``KetParse``) is sparse, with at most one element per named term, so
 ``analyze --ket`` never builds the 2^N amplitude vector.  The moduli sums
-(``e_max``, the norm, ``classify``) read the stored elements as they are;
-the consumers that need positions (the evaluation of E, the tensor,
-``to_json`` and the two-qubit maximizer) read the full vector from the one
-scatter, ``AntidiagonalProfile.full_values``, which checks the pure-state
-cap before it allocates.
+(``e_max``, the norm, ``classify``) follow one sum rule: they add the
+nonzero moduli of the stored elements in index order, so the sparse and
+the dense profile of one state give the same bits.  The consumers that
+need positions (the evaluation of E, the tensor, ``to_json`` and the
+two-qubit maximizer) read the full vector from the one scatter,
+``AntidiagonalProfile.full_values``, which checks the pure-state cap
+before it allocates.
 
 Note on E_max: it is always an upper bound for E, and it is attained for
 N <= 2, for GHZ-like profiles, and for products of blocks of at most two
@@ -284,14 +286,29 @@ def correlation_value_from_tensor(tensor, angles):
     return _check_angles(angles, tensor.n_qubits, values_at)
 
 
+def _closed_forms(prof):
+    """``(E_max, ||E||^2) = (2 sum |rho_ad|, 2 (2 pi)^N sum |rho_ad|^2)``: the one sum rule.
+
+    Both sums run over the nonzero moduli in index order, so a sparse profile
+    and the dense profile of the same state, which store the same nonzero
+    elements, give the same bits.  The moduli are taken once into one array,
+    which is squared in place; a profile without exact zeros is not copied by
+    the mask.
+    """
+    mod = np.abs(prof.values)
+    if np.count_nonzero(mod) < mod.size:
+        mod = mod[mod != 0.0]
+    em = float(2.0 * mod.sum())
+    return em, float(2.0 * (2.0 * np.pi) ** prof.n_qubits * np.square(mod, out=mod).sum())
+
+
 def e_max(state):
     """Closed-form maximum 2 sum |rho_ad| of the planar correlation function.
 
     Always an upper bound; attained for N <= 2 and for product-structured
     profiles (see the module docstring for the generic N >= 3 caveat).
     """
-    prof = antidiagonal_profile(state)
-    return float(2.0 * np.abs(prof.values).sum())
+    return _closed_forms(antidiagonal_profile(state))[0]
 
 
 def optimal_angles_two_qubit(state):
@@ -315,9 +332,7 @@ def optimal_angles_two_qubit(state):
 
 def norm_squared_antidiagonal(state):
     """||E||^2 = 2 (2 pi)^N sum |rho_ad|^2 over the [0, 2pi)^N angle hypercube."""
-    prof = antidiagonal_profile(state)
-    n = prof.n_qubits
-    return float(2.0 * (2.0 * np.pi) ** n * (np.abs(prof.values) ** 2).sum())
+    return _closed_forms(antidiagonal_profile(state))[1]
 
 
 def norm_squared_tensor(tensor):

@@ -87,6 +87,8 @@ class GridSearchConfig:
             raise ValueError("refinement_rounds must be an integer >= 0")
         if not _is_count(self.max_evaluations):
             raise ValueError("max_evaluations must be a positive integer")
+        for name in ("points_per_axis", "refinement_rounds", "max_evaluations"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 class GridMax(NamedTuple):
@@ -97,7 +99,7 @@ class GridMax(NamedTuple):
 def _fit_points(requested, n, rounds, budget):
     per_round = budget // (rounds + 1)
     root = round(per_round ** (1.0 / n))  # the integer n-th root, or one above it
-    pts = min(int(requested), root - (root**n > per_round))
+    pts = min(requested, root - (root**n > per_round))
     if pts < MIN_POINTS_PER_AXIS:
         raise BudgetExceededError(
             f"grid search over {n} angles needs at least {MIN_POINTS_PER_AXIS}^{n} "
@@ -154,6 +156,7 @@ def norm_squared_quadrature(state, points_per_axis=8):
     """
     if not _is_count(points_per_axis, 5):
         raise ValueError("points_per_axis must be an integer >= 5 for the rule to be exact")
+    points_per_axis = int(points_per_axis)
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
     if points_per_axis**n > 20_000_000:

@@ -27,16 +27,45 @@ __all__ = [
 MAX_ENUMERATION_QUBITS = 8
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the cached (1, 1)
+def _stirling_rows(n, k):
+    """Rows [S(m, 0), ..., S(m, k)] for m = 0..n, one after another, in Python ints.
+
+    Each row follows from the one before by S(m, j) = j S(m-1, j) + S(m-1, j-1),
+    so any n needs O(k) memory and no recursion, and no count can wrap.
+    """
+    row = [1] + [0] * k
+    yield row
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        yield row
+
+
 def stirling_second(n, k):
     """Stirling number of the second kind S(n, k), exact integer."""
     if not (_is_count(n, 0) and _is_count(k, 0)):
         raise ValueError(f"n and k must be integers >= 0, got n={n!r}, k={k!r}")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
+    n, k = int(n), int(k)
+    if k > n:
         return 0
-    return k * stirling_second(n - 1, k) + stirling_second(n - 1, k - 1)
+    for row in _stirling_rows(n, k):
+        pass
+    return row[k]
+
+
+@lru_cache(maxsize=64)  # zoo and sample_product_terms use at most n (n, j) pairs at a time
+def _new_block_odds(n, k):
+    """``odds[m][j] = S(m-1, j-1) / S(m, j)``, the chance that element m opens a new block.
+
+    Listed for m <= n and j <= k (0.0 where S(m, j) = 0); each ratio of the
+    exact counts is rounded once.
+    """
+    rows = _stirling_rows(n, k)
+    prev = next(rows)
+    odds = [()]
+    for row in rows:
+        odds.append(tuple(prev[j - 1] / row[j] if row[j] else 0.0 for j in range(k + 1)))
+        prev = row
+    return tuple(odds)
 
 
 def _rgs_strings(n, prefix=(0,)):
@@ -64,13 +93,13 @@ def enumerate_partitions(n, k_min):
     strings, so it is canonical and reproducible.  The iterator yields
     sum_{j >= k_min} S(n, j) partitions (see :func:`stirling_second`).
     """
-    _check_k(n, k_min, "k_min")
+    n, k_min = _check_k(n, k_min, "k_min")
     if n > MAX_ENUMERATION_QUBITS:
         raise ValueError(
             f"exhaustive enumeration refused for n={n} > {MAX_ENUMERATION_QUBITS}; "
             "use sample_partition instead"
         )
-    return (_rgs_to_partition(a) for a in _rgs_strings(int(n)) if max(a) + 1 >= k_min)
+    return (_rgs_to_partition(a) for a in _rgs_strings(n) if max(a) + 1 >= k_min)
 
 
 def sample_partition(n, k, rng):
@@ -81,7 +110,8 @@ def sample_partition(n, k, rng):
     probability S(n-1, k-1)/S(n, k), otherwise it joins one of the k blocks of
     a uniform partition of {1..n-1}.
     """
-    _check_k(n, k)
+    n, k = _check_k(n, k)
+    odds = _new_block_odds(n, k)
     blocks = []
     # A deferred element m joins one of the j blocks that the construction for
     # {1..m-1} is about to create; those are exactly the blocks appended after
@@ -96,8 +126,7 @@ def sample_partition(n, k, rng):
         if j == 1:
             blocks.append(list(range(m, 0, -1)))
             break
-        p_new = stirling_second(m - 1, j - 1) / stirling_second(m, j)
-        if rng.random() < p_new:
+        if rng.random() < odds[m][j]:
             blocks.append([m])
             m, j = m - 1, j - 1
         else:
@@ -112,7 +141,7 @@ def max_antidiagonal_bound(k):
     """Largest antidiagonal modulus a state factoring into k blocks can have: (1/2)^k."""
     if not _is_count(k):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    return 0.5**k
+    return 0.5 ** int(k)
 
 
 def verify_antidiagonal_bound(state, partition):

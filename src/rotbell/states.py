@@ -59,7 +59,11 @@ def _dim(n):
 
 
 def _is_count(x, least=1):
-    """The one integer rule for counts: a Python or numpy integer >= least, never a bool."""
+    """The one integer rule for counts: a Python or numpy integer >= least, never a bool.
+
+    A count that passes is used as ``int(x)`` from then on, since numpy
+    integers wrap in arithmetic (``-np.uint64(2)``, ``np.int64(8) ** 30``).
+    """
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
@@ -71,9 +75,13 @@ def _check_qubits(n, cap, kind):
 
 
 def _check_k(n, k, name="k"):
-    """The one "need 1 <= k <= n" rule; both must be counts (see ``_is_count``)."""
+    """The one "need 1 <= k <= n" rule; both must be counts (see ``_is_count``).
+
+    Returns ``(int(n), int(k))``.
+    """
     if not (_is_count(n) and _is_count(k) and k <= n):
         raise ValueError(f"need 1 <= {name} <= n, got {name}={k}, n={n}")
+    return int(n), int(k)
 
 
 def _freeze_array(obj, field, dtype, shape, what):
@@ -371,7 +379,7 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     block states.  Weights are uniform on the simplex.  Deterministic for a
     fixed ``rng_seed``; no 2^n x 2^n matrix is built.
     """
-    _check_k(n, k)
+    n, k = _check_k(n, k)
     if not _is_count(n_terms):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")

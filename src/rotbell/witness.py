@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import antidiagonal_profile, e_max, norm_squared_antidiagonal
+from .correlation import _closed_forms, antidiagonal_profile
 from .states import MAX_TERM_QUBITS, _check_k, _is_count
 
 __all__ = [
@@ -77,12 +77,12 @@ def violation_factor(norm_squared, e_max_value, n):
         if ns > 0.0:
             raise ValueError("inconsistent inputs: e_max = 0 forces ||E||^2 = 0")
         return 0.0
-    return float(4.0 ** (-n) * ns / em)
+    return float(4.0 ** -int(n) * ns / em)
 
 
 def k_sep_threshold(n, k):
     """Largest violation factor any k-separable n-qubit state can reach: 2^-k (pi/2)^n."""
-    _check_k(n, k)
+    n, k = _check_k(n, k)
     return float(2.0 ** (-k) * (np.pi / 2.0) ** n)
 
 
@@ -116,8 +116,7 @@ def classify(state):
     """
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
-    em = e_max(prof)
-    ns = norm_squared_antidiagonal(prof)
+    em, ns = _closed_forms(prof)
     r = violation_factor(ns, em, n)
     ladder = _ladder(n)
     rungs = []

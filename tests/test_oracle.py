@@ -358,8 +358,8 @@ def test_cross_validate_checks_a_ket_parse_as_its_dense_state():
 
 
 def test_cross_validate_checks_the_ket_profile_the_report_reads():
-    # a ket's sparse and dense profiles can sum e_max in different orders, an
-    # ulp apart: the oracle must check the very numbers classify printed
+    # the oracle checks the very numbers classify printed, and one sum rule
+    # makes them the same bits on the ket's sparse and dense routes
     rng = np.random.default_rng(2024)
     config = GridSearchConfig(points_per_axis=8, refinement_rounds=0)
     for _ in range(40):
@@ -367,7 +367,10 @@ def test_cross_validate_checks_the_ket_profile_the_report_reads():
         named = rng.choice(1 << n, size=int(rng.integers(2, (1 << n) + 1)), replace=False)
         info = parse_ket_info(" + ".join(
             f"({rng.normal():.6f}{rng.normal():+.6f}i)*|{i:0{n}b}>" for i in named))
-        assert cross_validate(info, config).e_max == classify(info).e_max
+        checked = cross_validate(info, config)
+        assert checked.e_max == classify(info).e_max
+        assert classify(info) == classify(info.state)
+        assert checked.to_dict() == cross_validate(info.state, config).to_dict()
 
 
 def test_cross_validate_refuses_a_profile():

@@ -3,6 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rotbell.correlation import AntidiagonalProfile
+from rotbell.oracle import GridSearchConfig, maximize_grid, norm_squared_quadrature
 from rotbell.separability import (
     enumerate_partitions,
     max_antidiagonal_bound,
@@ -39,6 +41,13 @@ def test_stirling_known_values():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert stirling_second(n, k) == stirling_oracle(n, k)
+
+
+def test_stirling_is_exact_at_any_n():
+    assert stirling_second(1000, 2) == 2**999 - 1
+    assert stirling_second(500, 250) == stirling_oracle(500, 250)
+    part = sample_partition(1500, 3, np.random.default_rng(0))
+    assert part.k == 3 and part.n_qubits == 1500
 
 
 def test_enumerate_n3_kmin2():
@@ -126,6 +135,21 @@ def test_numpy_integer_counts_are_accepted():
     assert sample_partition(n, k, np.random.default_rng(0)).k == 2
     assert len(sample_product_terms(n, k, 2, rng_seed=0)) == 2
     assert max_antidiagonal_bound(k) == 0.25
+
+
+@pytest.mark.parametrize("count", [np.int64, np.uint8, np.uint64])
+def test_a_numpy_integer_count_is_used_as_a_python_int(count):
+    assert stirling_second(count(40), count(5)) == 75740854251732106906082250
+    assert stirling_second(count(9), count(4)) == stirling_second(9, 4)
+    assert k_sep_threshold(count(3), count(2)) == k_sep_threshold(3, 2)
+    assert violation_factor(1.0, 1.0, count(2)) == 0.0625
+    assert (sample_partition(count(7), count(3), np.random.default_rng(5))
+            == sample_partition(7, 3, np.random.default_rng(5)))
+    ghz = make_ghz(2)
+    found = maximize_grid(ghz, GridSearchConfig(refinement_rounds=count(255)))
+    assert found.value == maximize_grid(ghz, GridSearchConfig(refinement_rounds=255)).value
+    with pytest.raises(ValueError, match="point budget"):  # 8^30 must not wrap to 0
+        norm_squared_quadrature(AntidiagonalProfile(30, [0.5], index=[0]), count(8))
 
 
 @pytest.mark.parametrize("bad", [True, 2.7, np.float64(2.0)])
