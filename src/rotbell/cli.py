@@ -24,6 +24,8 @@ from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
+    MAX_TERM_QUBITS,
+    _check_qubits,
     ghz_terms,
     make_ghz,
     parse_ket,
@@ -386,6 +388,10 @@ def cmd_zoo(args):
         raise ValueError("--samples must be >= 0")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    # the largest N against its caps before any row: each sample holds 2^N amplitudes per term
+    if args.samples > 0:
+        _check_qubits(args.nmax, MAX_PURE_QUBITS, "pure-state")
+    _check_qubits(args.nmax, MAX_TERM_QUBITS, "term")
     rows = []
     for n in range(args.nmin, args.nmax + 1):
         ghz_r = classify(ghz_terms(n)).r

@@ -267,16 +267,36 @@ def make_ghz(n):
     return ghz_terms(n).state
 
 
+def _place(arrays, blocks, n):
+    """The one qubit placement: the joint array of block arrays on the qubits of ``blocks``.
+
+    ``arrays[i]`` (all amplitude vectors, or all matrices) lives on the qubits
+    of ``blocks[i]``, block labels in increasing order mapping to its own
+    qubits 1, 2, ...; ``n`` is the joint qubit count.  Each array is viewed
+    with one axis of size 2 per qubit (a matrix has its row axes, then its
+    column axes); the blocks are chained by one outer product in block order,
+    and one transpose sends every qubit's axes to its global position.  So
+    every entry is the product of one entry per block, multiplied in block
+    order.  Nothing is checked here.
+    """
+    ndim = arrays[0].ndim
+    rows, cols, off = [0] * n, [0] * n, 0  # axes of global qubit q at index q-1
+    for block in blocks:
+        for j, q in enumerate(block):
+            rows[q - 1], cols[q - 1] = off + j, off + len(block) + j
+        off += ndim * len(block)
+    factors = [a.reshape((2,) * ndim * len(b)) for a, b in zip(arrays, blocks)]
+    joint = reduce(np.multiply.outer, factors)
+    return joint.transpose(rows if ndim == 1 else rows + cols).reshape((_dim(n),) * ndim)
+
+
 def tensor_product(states, assignment):
     """Joint state of block states placed on the qubits named by ``assignment``.
 
     ``states[i]`` lives on the qubits of ``assignment.blocks[i]`` (block labels
     in increasing order map to the block state's own qubits 1, 2, ...).  Blocks
-    need not be contiguous.  Each block's amplitudes, or its matrix, are viewed
-    with one axis of size 2 per qubit (a matrix has its row axes, then its
-    column axes); the blocks are chained by one outer product in block order,
-    and one transpose sends every qubit's axes to its global position.  So
-    every entry is the product of one entry per block, multiplied in block
+    need not be contiguous.  Every entry of the joint amplitudes, or of the
+    joint matrix, is the product of one entry per block, multiplied in block
     order.  Returns a PureState when every input is pure, otherwise a
     DensityMatrix; the joint qubit count is checked against that type's cap
     before anything is allocated.
@@ -292,22 +312,11 @@ def tensor_product(states, assignment):
                 f"state on block {block} has {st.n_qubits} qubits, block has {len(block)}"
             )
     n = assignment.n_qubits
-    pure = all(isinstance(st, PureState) for st in states)
-    if pure:
+    if all(isinstance(st, PureState) for st in states):
         _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    else:
-        _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
-    blocks = assignment.blocks
-    arrays = [st.amplitudes if pure else _dense_matrix(st) for st in states]
-    rows, cols, off = [0] * n, [0] * n, 0  # axes of global qubit q at index q-1
-    for arr, block in zip(arrays, blocks):
-        for j, q in enumerate(block):
-            rows[q - 1], cols[q - 1] = off + j, off + len(block) + j
-        off += arr.ndim * len(block)
-    factors = [a.reshape((2,) * a.ndim * len(b)) for a, b in zip(arrays, blocks)]
-    joint = reduce(np.multiply.outer, factors)
-    joint = joint.transpose(rows if pure else rows + cols).reshape((_dim(n),) * arrays[0].ndim)
-    return PureState(n, joint) if pure else DensityMatrix(n, joint)
+        return PureState(n, _place([st.amplitudes for st in states], assignment.blocks, n))
+    _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
+    return DensityMatrix(n, _place([_dense_matrix(st) for st in states], assignment.blocks, n))
 
 
 def mix(components):
@@ -351,11 +360,16 @@ def add_white_noise(rho0, visibility):
 # sampling
 
 
+def _haar_amplitudes(n, rng):
+    """The one Haar draw: 2^n real normals, then 2^n imaginary ones, divided by their norm."""
+    z = rng.standard_normal(_dim(n)) + 1j * rng.standard_normal(_dim(n))
+    return z / np.linalg.norm(z)
+
+
 def random_pure_state(n, rng):
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    z = rng.standard_normal(_dim(n)) + 1j * rng.standard_normal(_dim(n))
-    return PureState(n, z / np.linalg.norm(z))
+    return PureState(n, _haar_amplitudes(n, rng))
 
 
 def random_density_matrix(n, rng, rank=None):
@@ -377,7 +391,15 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     {1..n} with at least k blocks (the block count is uniform on {k..n}, the
     partition uniform among those with that many blocks) and Haar-random pure
     block states.  Weights are uniform on the simplex.  Deterministic for a
-    fixed ``rng_seed``; no 2^n x 2^n matrix is built.
+    fixed ``rng_seed``, which seeds one generator drawn in this order: the
+    ``n_terms`` weights (``dirichlet``), then per term its block count
+    (``integers``), its partition (``sample_partition``) and, block by block
+    in ``part.blocks`` order, the block's real normals, then its imaginary
+    ones, exactly as :func:`random_pure_state` draws them.  Only the joint
+    term is validated, as one ``PureState``; the blocks are placed by the
+    same code as :func:`tensor_product`, so each term is bit for bit the
+    tensor product of ``random_pure_state`` blocks.  No 2^n x 2^n matrix is
+    built.
     """
     n, k = _check_k(n, k)
     if not _is_count(n_terms):
@@ -389,8 +411,8 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     terms = []
     for w in rng.dirichlet(np.ones(n_terms)):
         part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
-        factors = [random_pure_state(len(b), rng) for b in part.blocks]
-        terms.append((float(w), tensor_product(factors, part)))
+        blocks = [_haar_amplitudes(len(b), rng) for b in part.blocks]
+        terms.append((float(w), PureState(n, _place(blocks, part.blocks, n))))
     return terms
 
 

@@ -612,6 +612,24 @@ def test_oversized_requests_exit_1_before_allocating(argv, message, capsys, no_h
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("18", "--nmax", "27", "--samples", "1"), "n_qubits=27 exceeds the pure-state cap of 26"),
+        (("2", "--nmax", "64", "--samples", "1"), "n_qubits=64 exceeds the pure-state cap of 26"),
+        (("60", "--nmax", "64", "--samples", "0"), "n_qubits=64 exceeds the term cap of 63"),
+    ],
+    ids=["pure-27", "pure-64", "term-64"],
+)
+def test_zoo_checks_its_largest_n_before_any_row(argv, message, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zoo computed a row before checking --nmax")
+
+    monkeypatch.setattr(cli_mod, "sample_product_terms", refuse)
+    monkeypatch.setattr(cli_mod, "ghz_terms", refuse)
+    assert run_cli(capsys, "zoo", "--nmin", *argv) == (1, "", f"error: {message}\n")
+
+
 def test_sweep_pure_20_qubits_runs_on_the_profile(capsys, no_huge_arrays):
     ket = "|" + "0" * 20 + ">+|" + "1" * 20 + ">"
     code, out, _ = run_cli(capsys, "sweep", "--ket", ket, "--steps", "11", "--format", "csv")

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import rotbell.states as states_mod
+import rotbell.separability as separability_mod
 from rotbell.cli import _sampled_k_separable_profile
 from rotbell.correlation import (
     AntidiagonalProfile,
@@ -133,11 +133,16 @@ def test_tensor_product_is_the_product_over_blocks_in_block_order(placed):
 def test_every_sampled_term_obeys_the_bound_of_its_own_partition(data, n, seed):
     """Each product term over k' >= k blocks has every antidiagonal modulus at most (1/2)^k'."""
     k = data.draw(st.integers(1, n))
-    with mock.patch.object(states_mod, "tensor_product", wraps=tensor_product) as placed:
+    parts = []
+
+    def record(*args):
+        parts.append(sample_partition(*args))
+        return parts[-1]
+
+    with mock.patch.object(separability_mod, "sample_partition", side_effect=record):
         terms = sample_product_terms(n, k, data.draw(st.integers(1, 4)), rng_seed=seed)
-    assert placed.call_count == len(terms)
-    for (_, term), call in zip(terms, placed.call_args_list):
-        part = call.args[1]
+    assert len(parts) == len(terms)
+    for (_, term), part in zip(terms, parts):
         assert part.k >= k
         assert verify_antidiagonal_bound(term, part)[1]
 

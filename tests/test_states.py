@@ -30,6 +30,7 @@ from rotbell.states import (
 )
 from rotbell.correlation import antidiagonal_profile, correlation_tensor, correlation_value_trace
 from rotbell.oracle import cross_validate
+from rotbell.separability import sample_partition
 from rotbell.witness import classify, k_sep_threshold
 
 
@@ -284,11 +285,9 @@ def test_mix_and_white_noise_are_their_formulas_to_the_bit(seed):
         assert np.array_equal(add_white_noise(st, v).matrix, v * m + ((1.0 - v) / d) * np.eye(d))
 
 
-def _count_validations():
-    """Count DensityMatrix validations; each one still runs its checks."""
-    return mock.patch.object(
-        DensityMatrix, "__post_init__", autospec=True, side_effect=DensityMatrix.__post_init__
-    )
+def _count_validations(cls=DensityMatrix):
+    """Count validations of ``cls``; each one still runs its checks."""
+    return mock.patch.object(cls, "__post_init__", autospec=True, side_effect=cls.__post_init__)
 
 
 def test_mix_and_white_noise_validate_only_their_result():
@@ -400,6 +399,37 @@ def test_sample_product_terms_are_the_mixture():
     assert all(isinstance(t, PureState) and t.n_qubits == 4 for _, t in terms)
     dense = sum(w * np.outer(t.amplitudes, t.amplitudes.conj()) for w, t in terms)
     assert np.array_equal(sample_k_separable(4, 2, 3, rng_seed=42).matrix, dense)
+
+
+def _product_terms_block_by_block(n, k, n_terms, seed):
+    """The sampler's draws made through random_pure_state per block and tensor_product."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for w in rng.dirichlet(np.ones(n_terms)):
+        part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
+        blocks = [random_pure_state(len(b), rng) for b in part.blocks]
+        terms.append((float(w), tensor_product(blocks, part)))
+    return terms
+
+
+def test_sample_product_terms_are_tensor_products_of_random_pure_states_to_the_bit():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            for n_terms in range(1, 5):
+                for seed in [(n, k, n_terms), 0, 2**32 + 5]:
+                    got = sample_product_terms(n, k, n_terms, rng_seed=seed)
+                    want = _product_terms_block_by_block(n, k, n_terms, seed)
+                    assert len(got) == len(want) == n_terms
+                    for (w, term), (w0, term0) in zip(got, want):
+                        assert np.float64(w).tobytes() == np.float64(w0).tobytes()
+                        assert term.amplitudes.tobytes() == term0.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n, k, n_terms", [(1, 1, 1), (5, 2, 3), (9, 1, 4), (9, 9, 2)])
+def test_sample_product_terms_validate_each_term_once(n, k, n_terms):
+    with _count_validations(PureState) as validations:
+        terms = sample_product_terms(n, k, n_terms, rng_seed=3)
+    assert validations.call_count == len(terms) == n_terms
 
 
 def test_sample_product_terms_checks_cap_first():
