@@ -128,41 +128,51 @@ class CorrelationTensor:
         return self.components.tolist()
 
 
-_BLOCK_POINTS = 4096  # values per block of _evaluate_blocks: 64 KiB of complex temporaries
+_BLOCK_POINTS = 4096  # values per block of E along qubit 1: 64 KiB of complex temporaries
 
 
-def _evaluate_blocks(prof, phases):
-    """E on S grids spanned by per-qubit phases, in consecutive blocks along qubit 1.
+def _contract(prof, phases):
+    """z, the profile contracted over qubits 2..N, on S grids: shape (S, m_2, ..., m_N).
 
-    ``phases[j]`` has shape (S, m_j) and lists exp(i alpha) for the settings
-    of qubit j+1 in each of the S grids.  The profile is contracted once, one
-    qubit at a time, k2 first, with [ph_j; conj(ph_j)]: bit 0 carries
-    +alpha_j and bit 1 carries -alpha_j.  Each step turns the leading bit axis
-    into a trailing setting axis, so the grid axes come out in qubit order.
-    Then qubit 1 enters with +alpha_1, a block of its rows at a time: each
-    yield is ``(start, values)``, where ``values`` has shape
-    (S, rows, m_2, ..., m_N) and holds E at qubit 1's settings
-    start..start+rows-1.  A block holds about ``_BLOCK_POINTS`` values, or
-    one row when a row is larger, so no caller needs the whole grid at once.
+    ``phases[j]`` has shape (S, m_{j+2}) and lists exp(i alpha) for the
+    settings of qubit j+2 in each of the S grids.  The profile is contracted
+    one qubit at a time, k2 first, with [ph_j; conj(ph_j)]: bit 0 carries
+    +alpha_j and bit 1 carries -alpha_j.
+    Each step turns the leading bit axis into a trailing setting axis, so the
+    axes come out in qubit order.  One entry of z is a column of the grid:
+    E on it is ``_e_values(exp(i alpha_1), z)`` for every alpha_1.
     """
     acc = prof.full_values()[None]  # checks the pure-state cap before any grid array exists
-    for ph in phases[1:]:
+    for ph in phases:
         acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ np.stack([ph, np.conj(ph)], axis=1)
-    acc = acc.reshape([len(acc)] + [ph.shape[1] for ph in phases[1:]])[:, None]
-    lead = phases[0].reshape(phases[0].shape + (1,) * (len(phases) - 1))
-    rows = max(1, _BLOCK_POINTS // acc.size)
-    for start in range(0, lead.shape[1], rows):
-        yield start, 2.0 * (lead[:, start:start + rows] * acc).real
+    return acc.reshape([len(acc)] + [ph.shape[1] for ph in phases])
+
+
+def _e_values(lead, z):
+    """E = 2 Re(exp(i alpha_1) z), broadcast over ``lead`` = exp(i alpha_1) and ``z``.
+
+    The one expression for E: every evaluation from the profile, the grid
+    search included, ends in it, so a value is the same complex multiply of
+    the same two numbers whichever route reads it.  Since |exp(i alpha_1)| = 1 it never
+    exceeds 2|z|, which is the column bound the grid search prunes with.
+    """
+    return 2.0 * (lead * z).real
 
 
 def _evaluate(prof, phases):
     """2 Re sum_k rho_ad(k) exp(i phi_k) on S grids, as one (S, m_1, ..., m_N) array.
 
-    One grid is S = 1; S scattered settings are m_j = 1.  The array is the
-    blocks of ``_evaluate_blocks`` joined along qubit 1's axis, so each value
-    comes from the same arithmetic whichever route reads it.
+    One grid is S = 1; S scattered settings are m_j = 1.  The profile is
+    contracted once (``_contract``), then qubit 1 enters with +alpha_1 through
+    ``_e_values``, in blocks of about ``_BLOCK_POINTS`` values along qubit 1
+    (one row of the other axes when a row is larger), so the complex
+    temporaries stay small next to the result.
     """
-    return np.concatenate([values for _, values in _evaluate_blocks(prof, phases)], axis=1)
+    z = _contract(prof, phases[1:])[:, None]
+    lead = phases[0].reshape(phases[0].shape + (1,) * (z.ndim - 2))
+    rows = max(1, _BLOCK_POINTS // z.size)
+    return np.concatenate([_e_values(lead[:, start:start + rows], z)
+                           for start in range(0, lead.shape[1], rows)], axis=1)
 
 
 def _check_angles(angles, n, values_at):

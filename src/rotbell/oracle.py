@@ -1,10 +1,12 @@
 """Brute-force cross-checks for every closed form in the package.
 
 Nothing here trusts the closed-form algebra: the grid maximizer evaluates the
-correlation function directly over angle hypercubes, the quadrature integrates
-E^2 numerically (the equally spaced periodic trapezoid rule is exact for this
-integrand, a trigonometric polynomial of per-axis degree <= 2, once there are
-at least 5 points per axis), and ``cross_validate`` bundles the comparisons.
+correlation function directly over angle hypercubes, skipping only points that
+the bound E <= 2|z| of their column proves below a value the grid attains (see
+``maximize_grid``), the quadrature integrates E^2 numerically (the equally
+spaced periodic trapezoid rule is exact for this integrand, a trigonometric
+polynomial of per-axis degree <= 2, once there are at least 5 points per
+axis), and ``cross_validate`` bundles the comparisons.
 
 The grid maximum can never exceed the closed-form e_max.  Whether it reaches
 it is a property of the state: profiles with a single nonzero element,
@@ -23,8 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import (
+    _BLOCK_POINTS,
+    _contract,
+    _e_values,
     _evaluate,
-    _evaluate_blocks,
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
@@ -55,6 +59,11 @@ MIN_POINTS_PER_AXIS = 8
 REFINEMENT_SHRINK = 0.1
 _TRACE_SETTINGS = 100
 _TRACE_SETTINGS_SEED = 0x5EED
+# slack of the column bound E <= 2|z|: relative for the rounding of the complex
+# multiply (fused or not) and of |z|, with |exp(i alpha)| = 1 up to an ulp;
+# absolute so that no column of a subnormal-scale profile is lost to underflow
+_PRUNE_REL = 1e-12
+_PRUNE_ABS = 1e-300
 
 _log = logging.getLogger(__name__)
 
@@ -108,20 +117,53 @@ def _fit_points(requested, n, rounds, budget):
     return pts
 
 
+def _first_max(lead, z):
+    """First maximum in C order of ``_e_values`` over qubit 1's ``lead`` x the columns ``z``.
+
+    Returns ``(value, row, column)``.  The (len(lead), len(z)) array is never
+    allocated: it is scanned in C-order tiles of at most ``_BLOCK_POINTS``
+    values (whole rows, or pieces of one row when a row is larger), and a
+    later tile replaces the running maximum only when strictly larger, so the
+    tie rule is that of one argmax over the whole array.
+    """
+    width = min(len(z), _BLOCK_POINTS)
+    rows = _BLOCK_POINTS // width
+    top, row, col = -np.inf, 0, 0
+    for r in range(0, len(lead), rows):
+        for c in range(0, len(z), width):
+            values = _e_values(lead[r:r + rows, None], z[c:c + width])
+            dr, dc = divmod(int(values.argmax()), values.shape[1])
+            if values[dr, dc] > top:
+                top, row, col = float(values[dr, dc]), r + dr, c + dc
+    return top, row, col
+
+
 def maximize_grid(state, config=None):
     """Best correlation value found by full-grid search plus local refinement.
 
     Returns ``GridMax(value, setting)``.  Deterministic for a given input:
     within a round the first maximum in C index order wins, and a later round
-    replaces the incumbent only if it is strictly larger.  Each round scans
-    its grid in the blocks of ``_evaluate_blocks`` along qubit 1 and keeps a
-    running maximum, taking a later block only when it is strictly larger,
-    so the tie rule is that of one argmax over the whole grid, which is never
-    allocated.  Symmetry-equivalent maxima agree only to roundoff, so which
-    of them is reported can change with the summation order.  The value can
-    never exceed ``e_max(state)`` (up to roundoff); see the module docstring
-    for when it reaches it.  One debug record on the ``rotbell.oracle``
-    logger gives the effective points per axis and the evaluations spent.
+    replaces the incumbent only if it is strictly larger.  Symmetry-equivalent
+    maxima agree only to roundoff, so which of them is reported can change
+    with the summation order.  The value can never exceed ``e_max(state)``
+    (up to roundoff); see the module docstring for when it reaches it.
+
+    Each round contracts the profile once over qubits 2..N, giving z for
+    every column (setting of qubits 2..N) of its grid.  On a column
+    E = 2 Re(exp(i alpha_1) z) <= 2|z|, the relaxation behind ``e_max``.  The
+    round evaluates E at all of qubit 1's settings on the column of largest
+    |z|, a floor L that the grid attains, and scans only the columns with
+    2|z| (1 + 1e-12) + 1e-300 >= L, in increasing order, with ``_first_max``.
+    The slack makes the bound hold for the computed values, underflow
+    included, so every value on a dropped column lies strictly below L: it
+    cannot be the round's maximum, let alone its first one in C order.  The
+    kept values are the same complex multiplies of the same two numbers as
+    on the whole grid, so ``value`` and ``setting`` are those of one argmax
+    over every grid point, bit for bit.  One debug record on the
+    ``rotbell.oracle`` logger gives the effective points per axis, the size
+    of the full grids, the evaluations actually spent (probe column plus kept
+    columns, times the points per axis, over all rounds) and the columns
+    kept in each round.
     """
     cfg = config if config is not None else GridSearchConfig()
     prof = antidiagonal_profile(state)
@@ -129,22 +171,26 @@ def maximize_grid(state, config=None):
     pts = _fit_points(cfg.points_per_axis, n, cfg.refinement_rounds, cfg.max_evaluations)
 
     # round 0 spans the whole period: the box of half-width pi around pi, open at its end
-    best, setting, half_width = -np.inf, np.full(n, np.pi), np.pi
+    best, setting, half_width, kept = -np.inf, np.full(n, np.pi), np.pi, []
     for rnd in range(cfg.refinement_rounds + 1):
         axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
-        top, flat = -np.inf, 0
-        grid = _evaluate_blocks(prof, [np.exp(1j * ax)[None] for ax in axes])
-        for blocks, (start, values) in enumerate(grid, 1):
-            i = int(np.argmax(values))
-            if values.flat[i] > top:
-                top, flat = float(values.flat[i]), start * pts ** (n - 1) + i
+        lead = np.exp(1j * axes[0])
+        z = _contract(prof, [np.exp(1j * ax)[None] for ax in axes[1:]]).reshape(-1)
+        modulus = np.abs(z)
+        probe = int(modulus.argmax())
+        floor = _e_values(lead, z[probe:probe + 1]).max()
+        # 2|z| (1 + rel) + abs >= floor solved for |z|; the division rounds far inside the slack
+        cols = (modulus >= (floor - _PRUNE_ABS) / (2.0 * (1.0 + _PRUNE_REL))).nonzero()[0]
+        kept.append(len(cols))
+        top, row, col = _first_max(lead, z[cols])
         if top > best:
-            idx = np.unravel_index(flat, (pts,) * n)
+            idx = np.unravel_index(row * len(z) + int(cols[col]), (pts,) * n)
             best, setting = top, np.array([ax[i] for ax, i in zip(axes, idx)])
         half_width *= REFINEMENT_SHRINK
     rounds = cfg.refinement_rounds + 1
-    _log.debug("maximize_grid: n=%d points_per_axis=%d rounds=%d evaluations=%d "
-               "blocks_per_round=%d", n, pts, rounds, rounds * pts**n, blocks)
+    _log.debug("maximize_grid: n=%d points_per_axis=%d rounds=%d grid_points=%d evaluations=%d "
+               "columns_per_round=%d kept_columns=%s", n, pts, rounds, rounds * pts**n,
+               pts * (rounds + sum(kept)), pts ** (n - 1), ",".join(map(str, kept)))
     return GridMax(best, np.mod(setting, 2.0 * np.pi))
 
 

@@ -282,7 +282,8 @@ def test_oracle_debug_record_leaves_stdout_alone(capsys, caplog):
     with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
         assert run_cli(capsys, *argv) == (0, fresh.stdout, "")
     assert [r.getMessage() for r in caplog.records] == [
-        "maximize_grid: n=3 points_per_axis=24 rounds=4 evaluations=55296 blocks_per_round=4"]
+        "maximize_grid: n=3 points_per_axis=24 rounds=4 grid_points=55296 evaluations=55392 "
+        "columns_per_round=576 kept_columns=576,576,576,576"]  # GHZ: every |z| ties
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotbell.cli as cli_mod
 import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
 from rotbell.correlation import (
+    AntidiagonalProfile,
     _evaluate,
     antidiagonal_profile,
     correlation_value,
@@ -227,27 +230,50 @@ def test_grid_blocks_need_not_divide_the_axis(monkeypatch):
                                   cfg.max_evaluations) == 24
     prof = antidiagonal_profile(random_density_matrix(3, np.random.default_rng(44)))
     phases = [np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))[None]] * 3
-    blocks = list(correlation_mod._evaluate_blocks(prof, phases))
-    assert [(start, values.shape) for start, values in blocks] == [
-        (0, (1, 7, 24, 24)), (7, (1, 7, 24, 24)), (14, (1, 7, 24, 24)), (21, (1, 3, 24, 24))]
-    monkeypatch.setattr(correlation_mod, "_BLOCK_POINTS", 1 << 62)
-    [(start, whole)] = correlation_mod._evaluate_blocks(prof, phases)
-    assert start == 0 and whole.shape == (1, 24, 24, 24)
-    assert np.concatenate([values for _, values in blocks], axis=1).tobytes() == whole.tobytes()
+    shapes, e_values = [], correlation_mod._e_values
+
+    def spy(lead, z):
+        shapes.append(np.broadcast_shapes(lead.shape, z.shape))
+        return e_values(lead, z)
+
+    monkeypatch.setattr(correlation_mod, "_e_values", spy)
+    blocks = correlation_mod._evaluate(prof, phases)
+    assert shapes == [(1, 7, 24, 24)] * 3 + [(1, 3, 24, 24)]
+    with monkeypatch.context() as m:
+        m.setattr(correlation_mod, "_BLOCK_POINTS", 1 << 62)
+        whole = correlation_mod._evaluate(prof, phases)
+    assert shapes[4:] == [(1, 24, 24, 24)] and blocks.tobytes() == whole.tobytes()
+
+    # the grid search scans kept columns in tiles of at most 4,096 values: 7 + 7
+    # + 7 + 3 rows of 576 columns, or one row of 5,000 columns (576 of them
+    # repeated, so ties cross the tiles) in pieces of 4,096 and 904
+    lead, z = phases[0][0], correlation_mod._contract(prof, phases[1:]).reshape(-1)
+    monkeypatch.setattr(oracle_mod, "_e_values", spy)
+    cases = ((z, [(7, 576)] * 3 + [(3, 576)]), (np.resize(z, 5000), [(1, 4096), (1, 904)] * 24))
+    for cols, tiles in cases:
+        del shapes[:]
+        top, row, col = oracle_mod._first_max(lead, cols)
+        assert shapes == tiles
+        grid = e_values(lead[:, None], cols)
+        assert (row, col) == np.unravel_index(np.argmax(grid), grid.shape)
+        assert repr(top) == repr(float(grid.max()))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_grid_search_never_allocates_the_whole_grid(n):
-    # the whole N = 4 grid at 24 points is 5.3 MB of complex values alone
-    state = random_density_matrix(n, np.random.default_rng((46, n)))
-    maximize_grid(state)  # any one-time set-up happens outside the measurement
-    tracemalloc.start()
-    try:
-        maximize_grid(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # the whole N = 4 grid at 24 points is 5.3 MB of complex values alone; the
+    # maximally mixed state has E = 0 everywhere, so no column is pruned: the
+    # scan of every column in tiles is the worst case
+    for state in (random_density_matrix(n, np.random.default_rng((46, n))),
+                  DensityMatrix.maximally_mixed(n)):
+        maximize_grid(state)  # any one-time set-up happens outside the measurement
+        tracemalloc.start()
+        try:
+            maximize_grid(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_grid_search_logs_one_debug_record_per_call(caplog):
@@ -255,12 +281,76 @@ def test_grid_search_logs_one_debug_record_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
         maximize_grid(state)  # 24 points per axis fit the default budget as 13 at N = 5
         maximize_grid(make_ghz(3), GridSearchConfig(8, 0, 512))
+    # the GHZ profile has one nonzero element, so every column has the same
+    # |z| and none is pruned: the probe column is spent on top of the grid
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=5 points_per_axis=13 rounds=4 "
-         "evaluations=1485172 blocks_per_round=13"),
+         "grid_points=1485172 evaluations=104 columns_per_round=28561 kept_columns=1,1,1,1"),
         ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=3 points_per_axis=8 rounds=1 "
-         "evaluations=512 blocks_per_round=1"),
+         "grid_points=512 evaluations=520 columns_per_round=64 kept_columns=64"),
     ]
+
+
+def _assert_matches_the_materialised_grid(state, config):
+    got = maximize_grid(state, config)
+    value, setting = _materialised_grid(state, config)
+    assert repr(got.value) == repr(value)
+    assert got.setting.tobytes() == setting.tobytes()
+
+
+# in budget up to N = 6
+_TIE_CONFIGS = [(8, 0, 8**6), (13, 1, 1_000_000), (24, 3, 2_000_000)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("scale", [1e-310, 1e-318, 1e-321])
+def test_column_bound_holds_on_subnormal_profiles(scale, n):
+    # E and |z| are subnormal: from about 1e-312 down their rounding is far
+    # coarser than 1e-12 relative, and only the absolute slack keeps the
+    # winning column (without it, even the probe column can be dropped)
+    for seed in range(4):
+        for make in (random_pure_state, random_density_matrix):
+            values = antidiagonal_profile(make(n, np.random.default_rng((48, n, seed)))).values
+            tiny = AntidiagonalProfile(n, values * scale)
+            assert 0.0 < np.abs(tiny.values).max() < np.finfo(float).tiny
+            for config in _TIE_CONFIGS[:2]:
+                _assert_matches_the_materialised_grid(tiny, GridSearchConfig(*config))
+
+
+@pytest.mark.parametrize("config", _TIE_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+def test_column_bound_keeps_the_first_maximum_among_ties(config, caplog):
+    cfg = GridSearchConfig(*config)
+    tied = [make_ghz(n) for n in range(1, 7)]  # one element: every column has the top modulus
+    tied += [make(1, np.random.default_rng(49)) for make in (random_pure_state, random_density_matrix)]
+    for state in tied:
+        _assert_matches_the_materialised_grid(state, cfg)
+    for n in range(1, 7):  # E = 0 everywhere: every column survives
+        with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
+            _assert_matches_the_materialised_grid(DensityMatrix.maximally_mixed(n), cfg)
+        record = dict(field.split("=") for field in caplog.records[-1].getMessage().split()[1:])
+        assert set(record["kept_columns"].split(",")) == {record["columns_per_round"]}
+
+
+@st.composite
+def dense_profiles(draw):
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = 1 << (n - 1)
+    moduli = rng.uniform(0.0, 0.5, half) * (rng.random(half) < draw(st.floats(0.1, 1.0)))
+    return AntidiagonalProfile(n, moduli * np.exp(2j * np.pi * rng.random(half)))
+
+
+@st.composite
+def in_budget_configs(draw, n):
+    points, rounds = draw(st.integers(8, 14)), draw(st.integers(0, 3))
+    lowest = (rounds + 1) * oracle_mod.MIN_POINTS_PER_AXIS**n
+    return GridSearchConfig(points, rounds, draw(st.integers(lowest, (rounds + 1) * points**n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), dense_profiles())
+def test_pruned_grid_matches_the_materialised_grid(data, prof):
+    _assert_matches_the_materialised_grid(prof, data.draw(in_budget_configs(prof.n_qubits)))
 
 
 # ---------------------------------------------------------------------------
