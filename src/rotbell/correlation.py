@@ -32,6 +32,16 @@ two-qubit maximizer) read the full vector from the one scatter,
 ``AntidiagonalProfile.full_values``, which checks the pure-state cap
 before it allocates.
 
+Every evaluation of E from the profile runs one contraction loop and one
+expression: the profile is contracted qubit by qubit over qubits 2..N,
+which gives z for every column (setting of qubits 2..N), and then
+E = 2 Re(exp(i alpha_1) z).  The reconstruction from tensor components runs
+the same loop with cos and sin in place of the phases.  A grid of E is laid
+out in one tiling, C-order tiles of at most 4,096 values: the tensor and the
+quadrature fill one array from it, and the grid search of the oracle module
+scans it with a running argmax, so each value has the same bits on every
+route.
+
 Note on E_max: it is always an upper bound for E, and it is attained for
 N <= 2, for GHZ-like profiles, and for products of blocks of at most two
 qubits.  For N >= 3 a generic entangled state leaves a strict gap: reaching
@@ -128,24 +138,36 @@ class CorrelationTensor:
         return self.components.tolist()
 
 
-_BLOCK_POINTS = 4096  # values per block of E along qubit 1: 64 KiB of complex temporaries
+_BLOCK_POINTS = 4096  # values per tile of E: 64 KiB of complex temporaries
 
 
-def _contract(prof, phases):
-    """z, the profile contracted over qubits 2..N, on S grids: shape (S, m_2, ..., m_N).
+def _contract(vec, factors):
+    """``vec`` (2^K values over K bits, packed big-endian) contracted bit by bit: (S, m_1 ... m_K).
+
+    ``factors[j]`` has shape (S, 2, m_j), S broadcasting from 1: it maps bit
+    j, leading bit first, to m_j settings in each of S stacks.  Each step
+    turns the leading bit axis into a trailing setting axis, so the settings
+    come out flat in C order.  The one contraction loop: the profile route
+    (``_columns``) and the tensor route (``correlation_value_from_tensor``)
+    both run it.
+    """
+    acc = vec[None]
+    for f in factors:
+        acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ f
+    return acc.reshape(len(acc), -1)
+
+
+def _columns(prof, phases):
+    """z, the profile contracted over qubits 2..N, on S grids: shape (S, m_2 ... m_N).
 
     ``phases[j]`` has shape (S, m_{j+2}) and lists exp(i alpha) for the
-    settings of qubit j+2 in each of the S grids.  The profile is contracted
-    one qubit at a time, k2 first, with [ph_j; conj(ph_j)]: bit 0 carries
-    +alpha_j and bit 1 carries -alpha_j.
-    Each step turns the leading bit axis into a trailing setting axis, so the
-    axes come out in qubit order.  One entry of z is a column of the grid:
-    E on it is ``_e_values(exp(i alpha_1), z)`` for every alpha_1.
+    settings of qubit j+2 in each of the S grids.  Bit 0 of a qubit carries
+    +alpha_j and bit 1 carries -alpha_j.  One entry of z is a column of the
+    grid (a setting of qubits 2..N), flat in C order: E on it is
+    ``_e_values(exp(i alpha_1), z)`` for every alpha_1.
     """
-    acc = prof.full_values()[None]  # checks the pure-state cap before any grid array exists
-    for ph in phases:
-        acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ np.stack([ph, np.conj(ph)], axis=1)
-    return acc.reshape([len(acc)] + [ph.shape[1] for ph in phases])
+    vec = prof.full_values()  # checks the pure-state cap before any grid array exists
+    return _contract(vec, [np.stack([ph, np.conj(ph)], axis=1) for ph in phases])
 
 
 def _e_values(lead, z):
@@ -159,20 +181,37 @@ def _e_values(lead, z):
     return 2.0 * (lead * z).real
 
 
-def _evaluate(prof, phases):
-    """2 Re sum_k rho_ad(k) exp(i phi_k) on S grids, as one (S, m_1, ..., m_N) array.
+def _tiles(lead, z):
+    """E on qubit 1's ``lead`` x the columns ``z``, in C-order tiles ``(row, column, values)``.
 
-    One grid is S = 1; S scattered settings are m_j = 1.  The profile is
-    contracted once (``_contract``), then qubit 1 enters with +alpha_1 through
-    ``_e_values``, in blocks of about ``_BLOCK_POINTS`` values along qubit 1
-    (one row of the other axes when a row is larger), so the complex
-    temporaries stay small next to the result.
+    The one tiling of a grid of E: the (len(lead), len(z)) array is cut into
+    tiles of at most ``_BLOCK_POINTS`` values, whole rows or pieces of one
+    row when a row is larger, so the complex temporaries stay small.  A tile
+    starts at ``(row, column)`` of the whole array.  ``z`` enters as a
+    (1, width) row, not broadcast from 1-D: in a 1 x 1 tile both operands
+    would then have stride 0, and numpy multiplies such operands in its
+    scalar loop, whose rounding can differ from the vector loop that
+    multiplies every larger tile.
     """
-    z = _contract(prof, phases[1:])[:, None]
-    lead = phases[0].reshape(phases[0].shape + (1,) * (z.ndim - 2))
-    rows = max(1, _BLOCK_POINTS // z.size)
-    return np.concatenate([_e_values(lead[:, start:start + rows], z)
-                           for start in range(0, lead.shape[1], rows)], axis=1)
+    width = min(len(z), _BLOCK_POINTS)
+    rows = _BLOCK_POINTS // width
+    for r in range(0, len(lead), rows):
+        for c in range(0, len(z), width):
+            yield r, c, _e_values(lead[r:r + rows, None], z[None, c:c + width])
+
+
+def _evaluate(prof, phases):
+    """2 Re sum_k rho_ad(k) exp(i phi_k) on one grid, as an (m_1, ..., m_N) array.
+
+    ``phases[j]`` lists exp(i alpha) for the m_{j+1} settings of qubit j+1.
+    The profile is contracted once (``_columns``), and the result is filled
+    from ``_tiles``.
+    """
+    z = _columns(prof, [ph[None] for ph in phases[1:]])[0]
+    out = np.empty((len(phases[0]), len(z)))
+    for r, c, values in _tiles(phases[0], z):
+        out[r:r + len(values), c:c + values.shape[1]] = values
+    return out.reshape([len(ph) for ph in phases])
 
 
 def _check_angles(angles, n, values_at):
@@ -235,7 +274,8 @@ def correlation_value(state, angles):
     prof = antidiagonal_profile(state)
 
     def values_at(a):
-        return _evaluate(prof, list(np.exp(1j * a.T)[..., None])).reshape(len(a))
+        phases = np.exp(1j * a.T)
+        return _e_values(phases[0], _columns(prof, phases[1:, :, None])[:, 0])
 
     return _check_angles(angles, prof.n_qubits, values_at)
 
@@ -279,7 +319,7 @@ def correlation_tensor(state):
     """
     prof = antidiagonal_profile(state)
     n = prof.n_qubits
-    corners = [np.array([[1.0, 1.0j]])] * n
+    corners = [np.array([1.0, 1.0j])] * n
     return CorrelationTensor(n, _evaluate(prof, corners).reshape(-1))
 
 
@@ -288,10 +328,8 @@ def correlation_value_from_tensor(tensor, angles):
     with f_x = cos and f_y = sin, at one setting or an (S, N) stack."""
 
     def values_at(a):
-        acc = tensor.components[None]
-        for f in np.stack([np.cos(a), np.sin(a)], axis=-1).swapaxes(0, 1):
-            acc = acc.reshape(len(acc), 2, -1).swapaxes(1, 2) @ f[..., None]
-        return acc.reshape(len(a))
+        factors = np.stack([np.cos(a), np.sin(a)], axis=-1).swapaxes(0, 1)[..., None]
+        return _contract(tensor.components, factors).reshape(len(a))
 
     return _check_angles(angles, tensor.n_qubits, values_at)
 

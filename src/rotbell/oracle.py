@@ -25,10 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import (
-    _BLOCK_POINTS,
-    _contract,
+    _columns,
     _e_values,
     _evaluate,
+    _tiles,
     antidiagonal_profile,
     correlation_tensor,
     correlation_value,
@@ -107,8 +107,10 @@ class GridMax(NamedTuple):
 
 def _fit_points(requested, n, rounds, budget):
     per_round = budget // (rounds + 1)
+    if requested**n <= per_round:  # also every budget too large for a float root
+        return requested
     root = round(per_round ** (1.0 / n))  # the integer n-th root, or one above it
-    pts = min(requested, root - (root**n > per_round))
+    pts = root - (root**n > per_round)
     if pts < MIN_POINTS_PER_AXIS:
         raise BudgetExceededError(
             f"grid search over {n} angles needs at least {MIN_POINTS_PER_AXIS}^{n} "
@@ -121,20 +123,15 @@ def _first_max(lead, z):
     """First maximum in C order of ``_e_values`` over qubit 1's ``lead`` x the columns ``z``.
 
     Returns ``(value, row, column)``.  The (len(lead), len(z)) array is never
-    allocated: it is scanned in C-order tiles of at most ``_BLOCK_POINTS``
-    values (whole rows, or pieces of one row when a row is larger), and a
+    allocated: it is scanned in the tiles of ``correlation._tiles``, and a
     later tile replaces the running maximum only when strictly larger, so the
     tie rule is that of one argmax over the whole array.
     """
-    width = min(len(z), _BLOCK_POINTS)
-    rows = _BLOCK_POINTS // width
     top, row, col = -np.inf, 0, 0
-    for r in range(0, len(lead), rows):
-        for c in range(0, len(z), width):
-            values = _e_values(lead[r:r + rows, None], z[c:c + width])
-            dr, dc = divmod(int(values.argmax()), values.shape[1])
-            if values[dr, dc] > top:
-                top, row, col = float(values[dr, dc]), r + dr, c + dc
+    for r, c, values in _tiles(lead, z):
+        dr, dc = divmod(int(values.argmax()), values.shape[1])
+        if values[dr, dc] > top:
+            top, row, col = float(values[dr, dc]), r + dr, c + dc
     return top, row, col
 
 
@@ -152,18 +149,20 @@ def maximize_grid(state, config=None):
     every column (setting of qubits 2..N) of its grid.  On a column
     E = 2 Re(exp(i alpha_1) z) <= 2|z|, the relaxation behind ``e_max``.  The
     round evaluates E at all of qubit 1's settings on the column of largest
-    |z|, a floor L that the grid attains, and scans only the columns with
-    2|z| (1 + 1e-12) + 1e-300 >= L, in increasing order, with ``_first_max``.
-    The slack makes the bound hold for the computed values, underflow
-    included, so every value on a dropped column lies strictly below L: it
-    cannot be the round's maximum, let alone its first one in C order.  The
-    kept values are the same complex multiplies of the same two numbers as
-    on the whole grid, so ``value`` and ``setting`` are those of one argmax
-    over every grid point, bit for bit.  One debug record on the
+    |z|, a floor L that the grid attains, and keeps only the columns with
+    2|z| (1 + 1e-12) + 1e-300 >= L, in increasing order.  When the probe
+    column is the only one kept, its values are the round's; otherwise the
+    kept columns are scanned in the tiles of ``correlation._tiles`` with
+    ``_first_max``.  The slack makes the bound hold for the computed values,
+    underflow included, so every value on a dropped column lies strictly
+    below L: it cannot be the round's maximum, let alone its first one in C
+    order.  The kept values are the same complex multiplies of the same two
+    numbers as on the whole grid, so ``value`` and ``setting`` are those of
+    one argmax over every grid point, bit for bit.  One debug record on the
     ``rotbell.oracle`` logger gives the effective points per axis, the size
-    of the full grids, the evaluations actually spent (probe column plus kept
-    columns, times the points per axis, over all rounds) and the columns
-    kept in each round.
+    of the full grids, the evaluations actually spent (the probe column,
+    plus the kept columns when more than the probe is kept, times the points
+    per axis, over all rounds) and the columns kept in each round.
     """
     cfg = config if config is not None else GridSearchConfig()
     prof = antidiagonal_profile(state)
@@ -175,22 +174,29 @@ def maximize_grid(state, config=None):
     for rnd in range(cfg.refinement_rounds + 1):
         axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
         lead = np.exp(1j * axes[0])
-        z = _contract(prof, [np.exp(1j * ax)[None] for ax in axes[1:]]).reshape(-1)
+        z = _columns(prof, [np.exp(1j * ax)[None] for ax in axes[1:]])[0]
         modulus = np.abs(z)
         probe = int(modulus.argmax())
-        floor = _e_values(lead, z[probe:probe + 1]).max()
+        values = _e_values(lead, z[probe:probe + 1])
+        row = int(values.argmax())
+        floor = values[row]
         # 2|z| (1 + rel) + abs >= floor solved for |z|; the division rounds far inside the slack
         cols = (modulus >= (floor - _PRUNE_ABS) / (2.0 * (1.0 + _PRUNE_REL))).nonzero()[0]
         kept.append(len(cols))
-        top, row, col = _first_max(lead, z[cols])
+        if len(cols) == 1:  # the probe alone: its values are the round's, scanned already
+            top, col = float(floor), probe
+        else:
+            top, row, col = _first_max(lead, z[cols])
+            col = int(cols[col])
         if top > best:
-            idx = np.unravel_index(row * len(z) + int(cols[col]), (pts,) * n)
+            idx = np.unravel_index(row * len(z) + col, (pts,) * n)
             best, setting = top, np.array([ax[i] for ax, i in zip(axes, idx)])
         half_width *= REFINEMENT_SHRINK
     rounds = cfg.refinement_rounds + 1
     _log.debug("maximize_grid: n=%d points_per_axis=%d rounds=%d grid_points=%d evaluations=%d "
                "columns_per_round=%d kept_columns=%s", n, pts, rounds, rounds * pts**n,
-               pts * (rounds + sum(kept)), pts ** (n - 1), ",".join(map(str, kept)))
+               pts * sum(1 if k == 1 else 1 + k for k in kept), pts ** (n - 1),
+               ",".join(map(str, kept)))
     return GridMax(best, np.mod(setting, 2.0 * np.pi))
 
 
@@ -208,7 +214,7 @@ def norm_squared_quadrature(state, points_per_axis=8):
     if points_per_axis**n > 20_000_000:
         raise ValueError(f"quadrature needs {points_per_axis}^{n} points: over the point budget")
     axes = [np.linspace(0.0, 2.0 * np.pi, points_per_axis, endpoint=False)] * n
-    values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
+    values = _evaluate(prof, [np.exp(1j * ax) for ax in axes])
     return float(np.sum(values**2) * (2.0 * np.pi / points_per_axis) ** n)
 
 

@@ -142,6 +142,10 @@ def test_grid_fits_exact_budgets_by_the_integer_root():
                     with pytest.raises(BudgetExceededError):
                         oracle_mod._fit_points(p, n, rounds, exact - 1)
     assert oracle_mod._fit_points(24, 3, 3, 4 * 8**3) == 8  # the floor of 8 points per axis
+    # a budget past the largest float takes the requested points without a float root
+    huge = GridSearchConfig(max_evaluations=10**309)
+    assert oracle_mod._fit_points(24, 3, 3, huge.max_evaluations) == 24
+    assert maximize_grid(make_ghz(3), huge).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_config_validation():
@@ -195,7 +199,7 @@ def _materialised_grid(state, config):
     best, setting, half_width = -np.inf, np.full(n, np.pi), np.pi
     for rnd in range(config.refinement_rounds + 1):
         axes = [np.linspace(c - half_width, c + half_width, pts, endpoint=rnd > 0) for c in setting]
-        values = _evaluate(prof, [np.exp(1j * ax)[None] for ax in axes])[0]
+        values = _evaluate(prof, [np.exp(1j * ax) for ax in axes])
         idx = np.unravel_index(np.argmax(values), values.shape)
         if values[idx] > best:
             best, setting = float(values[idx]), np.array([ax[i] for ax, i in zip(axes, idx)])
@@ -222,41 +226,53 @@ def test_blocked_grid_matches_the_materialised_grid(make, config, monkeypatch):
         assert got.setting.tobytes() == setting.tobytes(), (n, config)
 
 
-def test_grid_blocks_need_not_divide_the_axis(monkeypatch):
+def test_grid_tiles_need_not_divide_the_axis():
     # the default grid at N = 3 has 24 points per axis: rows of 24^2 = 576
-    # points, 7 rows to a block of at most 4,096, so 7 + 7 + 7 + 3 rows
+    # columns, 7 rows to a tile of at most 4,096 values, so 7 + 7 + 7 + 3 rows;
+    # a row of 5,000 columns (576 of them repeated, so ties cross the tiles)
+    # goes in pieces of 4,096 and 904, and one of 4,097 in 4,096 and 1
     cfg = GridSearchConfig()
     assert oracle_mod._fit_points(cfg.points_per_axis, 3, cfg.refinement_rounds,
                                   cfg.max_evaluations) == 24
     prof = antidiagonal_profile(random_density_matrix(3, np.random.default_rng(44)))
-    phases = [np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))[None]] * 3
-    shapes, e_values = [], correlation_mod._e_values
-
-    def spy(lead, z):
-        shapes.append(np.broadcast_shapes(lead.shape, z.shape))
-        return e_values(lead, z)
-
-    monkeypatch.setattr(correlation_mod, "_e_values", spy)
-    blocks = correlation_mod._evaluate(prof, phases)
-    assert shapes == [(1, 7, 24, 24)] * 3 + [(1, 3, 24, 24)]
-    with monkeypatch.context() as m:
-        m.setattr(correlation_mod, "_BLOCK_POINTS", 1 << 62)
-        whole = correlation_mod._evaluate(prof, phases)
-    assert shapes[4:] == [(1, 24, 24, 24)] and blocks.tobytes() == whole.tobytes()
-
-    # the grid search scans kept columns in tiles of at most 4,096 values: 7 + 7
-    # + 7 + 3 rows of 576 columns, or one row of 5,000 columns (576 of them
-    # repeated, so ties cross the tiles) in pieces of 4,096 and 904
-    lead, z = phases[0][0], correlation_mod._contract(prof, phases[1:]).reshape(-1)
-    monkeypatch.setattr(oracle_mod, "_e_values", spy)
-    cases = ((z, [(7, 576)] * 3 + [(3, 576)]), (np.resize(z, 5000), [(1, 4096), (1, 904)] * 24))
-    for cols, tiles in cases:
-        del shapes[:]
+    phases = [np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))[None]] * 2
+    lead = phases[0][0]
+    z = correlation_mod._columns(prof, phases)[0]
+    cases = [(z, [(0, 0, 7, 576), (7, 0, 7, 576), (14, 0, 7, 576), (21, 0, 3, 576)])]
+    for size in (5000, 4097):  # 4,097 ends each row in a tile of one value
+        pieces = ((0, 4096), (4096, size - 4096))
+        cases.append((np.resize(z, size), [(r, c, 1, w) for r in range(24) for c, w in pieces]))
+    for cols, want in cases:
+        grid = correlation_mod._e_values(lead[:, None], cols)
+        tiles = list(correlation_mod._tiles(lead, cols))
+        assert [(r, c) + values.shape for r, c, values in tiles] == want
+        for r, c, values in tiles:
+            assert values.tobytes() == grid[r:r + len(values), c:c + values.shape[1]].tobytes()
         top, row, col = oracle_mod._first_max(lead, cols)
-        assert shapes == tiles
-        grid = e_values(lead[:, None], cols)
         assert (row, col) == np.unravel_index(np.argmax(grid), grid.shape)
         assert repr(top) == repr(float(grid.max()))
+
+
+@pytest.mark.parametrize("points", [1, 7, 4096, 1 << 62])
+def test_tile_size_leaves_every_grid_output_unchanged(points, monkeypatch):
+    # one tile size for all of them: patching it in correlation reaches the grid search too
+    def outputs():
+        out = []
+        for n in range(1, 4):
+            for make in (random_pure_state, random_density_matrix):
+                prof = antidiagonal_profile(make(n, np.random.default_rng((50, n))))
+                axes = [np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 5 + j)) for j in range(n)]
+                out += [_evaluate(prof, axes).tobytes(),
+                        correlation_tensor(prof).components.tobytes(),
+                        repr(norm_squared_quadrature(prof))]
+                for config in ((8, 0, 512), (13, 1, 100_000)):
+                    value, setting = maximize_grid(prof, GridSearchConfig(*config))
+                    out += [repr(value), setting.tobytes()]
+        return out
+
+    want = outputs()
+    monkeypatch.setattr(correlation_mod, "_BLOCK_POINTS", points)
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -281,13 +297,18 @@ def test_grid_search_logs_one_debug_record_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
         maximize_grid(state)  # 24 points per axis fit the default budget as 13 at N = 5
         maximize_grid(make_ghz(3), GridSearchConfig(8, 0, 512))
-    # the GHZ profile has one nonzero element, so every column has the same
-    # |z| and none is pruned: the probe column is spent on top of the grid
+        maximize_grid(make_ghz(1))
+    # a round that keeps the probe column alone spends only the probe; the GHZ
+    # profile has one nonzero element, so every column has the same |z| and
+    # none is pruned: the probe column is spent on top of the grid, except at
+    # N = 1, where it is the one column
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=5 points_per_axis=13 rounds=4 "
-         "grid_points=1485172 evaluations=104 columns_per_round=28561 kept_columns=1,1,1,1"),
+         "grid_points=1485172 evaluations=52 columns_per_round=28561 kept_columns=1,1,1,1"),
         ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=3 points_per_axis=8 rounds=1 "
          "grid_points=512 evaluations=520 columns_per_round=64 kept_columns=64"),
+        ("rotbell.oracle", logging.DEBUG, "maximize_grid: n=1 points_per_axis=24 rounds=4 "
+         "grid_points=96 evaluations=96 columns_per_round=1 kept_columns=1,1,1,1"),
     ]
 
 
