@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -845,6 +846,41 @@ def test_analyze_large_ket_golden_output(case, fmt, capsys):
     golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]
+
+
+# ---------------------------------------------------------------------------
+# analyze --details --format json pinned by digest: at N = 16 one output is
+# about 2.5 MB, so the golden holds its sha256 and byte length
+
+_DETAILS_FILES = {
+    "haar-pure-n10": lambda: random_pure_state(10, np.random.default_rng((43, 10))),
+    "density-n6": lambda: random_density_matrix(6, np.random.default_rng((47, 6))),
+}
+_DETAILS_CASES = {
+    **{f"{name}-n{n}": ("--ket", ket) for n in (12, 16) for name, ket in _large_golden_kets(n).items()},
+    **{name: ("--input", f"{name}.json") for name in _DETAILS_FILES},
+}
+
+
+def _details_argv(case):
+    """The argv of one digest case; a file case first writes its state into the working directory."""
+    if case in _DETAILS_FILES:
+        Path(f"{case}.json").write_text(json.dumps(state_to_json(_DETAILS_FILES[case]())))
+    return ["analyze", *_DETAILS_CASES[case], "--details", "--format", "json"]
+
+
+def _digest(text):
+    data = text.encode()
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+@pytest.mark.parametrize("case", sorted(_DETAILS_CASES))
+def test_analyze_details_digest(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
+    code, out, _ = run_cli(capsys, *_details_argv(case))
+    golden = json.loads((GOLDEN / "details.json").read_text())
+    assert code == 0
+    assert _digest(out) == golden[case]
 
 
 # ---------------------------------------------------------------------------
