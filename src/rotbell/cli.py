@@ -13,8 +13,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 import numpy as np
@@ -57,6 +59,8 @@ _MAX_INPUT_CHARS = max(1 << MAX_PURE_QUBITS, 1 << (2 * MAX_DENSE_QUBITS)) * 128
 
 def _fmt(x):
     """12-significant-digit, locale-independent rendering."""
+    if isinstance(x, float):  # the common case, tested first; no other branch takes a float
+        return format(float(x), ".12g")
     if x is None:
         return ""
     if isinstance(x, str):
@@ -68,21 +72,87 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _round_tree(obj):
-    """``obj`` ready for json: its leaves take :func:`_fmt`'s ladder, numbers its 12 digits."""
-    if isinstance(obj, float):  # the common leaf, tested first: --details has 2^N of them
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, GeneratorType)):
-        return [_round_tree(v) for v in obj]
-    if obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return float(_fmt(obj))
+def _json_number(x):
+    """A number's json text: the float of :func:`_fmt`'s 12 digits, as ``repr`` writes it."""
+    value = float(_fmt(x))
+    if not math.isfinite(value):  # json.dumps(allow_nan=False)'s refusal, word for word
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
+
+
+def _json_array(arr, nl):
+    """The json text of a float64 array as nested lists, each distinct bit pattern formatted once.
+
+    Bit patterns, not values, are compared, so -0.0 keeps its sign.  The
+    leaves are joined in C order; between two leaves stands the separator of
+    the number of trailing axes that roll over there, with the brackets that
+    close and reopen.
+    """
+    if not arr.size:  # an empty axis has no leaf to join: the nested lists give the layout
+        return _json_text(arr.tolist(), nl)
+    bits, inverse = np.unique(arr.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.array([_json_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    ind = [nl + "  " * depth for depth in range(arr.ndim + 1)]
+    seps = np.array([
+        "".join(ind[d] + "]" for d in range(arr.ndim - 1, arr.ndim - 1 - rolls, -1)) + ","
+        + "".join(ind[d] + "[" for d in range(arr.ndim - rolls, arr.ndim)) + ind[-1]
+        for rolls in range(arr.ndim)
+    ], dtype=object)
+    rolls = np.zeros(arr.size - 1, dtype=np.intp)
+    block = 1
+    for size in arr.shape[:0:-1]:  # every axis but the first rolls over after each block
+        block *= size
+        rolls[block - 1::block] += 1
+    parts = np.empty(2 * arr.size - 1, dtype=object)
+    parts[0::2] = texts[inverse.reshape(-1)]
+    parts[1::2] = seps[rolls]
+    return ("".join("[" + ind[d] for d in range(1, arr.ndim + 1)) + "".join(parts.tolist())
+            + "".join(ind[d] + "]" for d in range(arr.ndim - 1, -1, -1)))
+
+
+def _json_text(obj, nl="\n"):
+    """``obj`` in the layout of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``.
+
+    The one json writer.  Numbers take :func:`_fmt`'s 12 digits, booleans,
+    integers and None their json words; dicts, lists, tuples and generators
+    nest, and a float64 array of one or more axes nests as lists.  ``nl`` is
+    the newline and indentation that ``obj`` starts at.  NaN and infinities
+    raise ValueError.
+    """
+    out = []
+    _json_parts(obj, out, nl)
+    return "".join(out)
+
+
+def _json_parts(obj, out, nl):
+    # leaves first, the commonest first; the type tests are disjoint, except that
+    # np.float64 is a float, so the order changes no output
+    if isinstance(obj, float):
+        out.append(_json_number(obj))
+    elif isinstance(obj, (bool, int, np.bool_, np.integer)):
+        out.append(_fmt(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for key, value in sorted(obj.items()):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _json_parts(value, out, inner)
+            sep = ","
+        out.append("{}" if sep == "{" else nl + "}")
+    elif isinstance(obj, (list, tuple, GeneratorType)):
+        inner, sep = nl + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _json_parts(value, out, inner)
+            sep = ","
+        out.append("[]" if sep == "[" else nl + "]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
+        out.append(_json_array(obj, nl))
+    else:
+        out.append(_json_number(obj))
 
 
 def _emit(fmt, payload, tables, lines):
@@ -93,7 +163,7 @@ def _emit(fmt, payload, tables, lines):
     generators, so that only the chosen format is rendered.
     """
     if fmt == "json":
-        text = json.dumps(_round_tree(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -337,9 +407,9 @@ def cmd_analyze(args):
     details = None
     if args.details and args.format == "json":  # only the json report prints them
         prof = antidiagonal_profile(state)
-        details = {
-            "antidiagonal_profile": prof.to_json(),
-            "correlation_tensor": correlation_tensor(prof).to_json(),
+        details = {  # the [re, im] pairs are a float view of the profile's one scatter
+            "antidiagonal_profile": prof.full_values().view(np.float64).reshape(-1, 2),
+            "correlation_tensor": correlation_tensor(prof).components,
         }
     # arbitrary states: a generic N >= 3 state has a real gap, which is data
     return _report_state(state, args, gated=False, meta=meta, details=details)

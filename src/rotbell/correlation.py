@@ -30,7 +30,7 @@ the dense profile of one state give the same bits.  The consumers that
 need positions (the evaluation of E, the tensor, ``to_json`` and the
 two-qubit maximizer) read the full vector from the one scatter,
 ``AntidiagonalProfile.full_values``, which checks the pure-state cap
-before it allocates.
+before it allocates and scatters a sparse profile once.
 
 Every evaluation of E from the profile runs one contraction loop and one
 expression: the profile is contracted qubit by qubit over qubits 2..N,
@@ -95,6 +95,7 @@ class AntidiagonalProfile:
     n_qubits: int
     values: np.ndarray = field(repr=False)
     index: np.ndarray | None = field(default=None, repr=False)
+    _full: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -109,10 +110,19 @@ class AntidiagonalProfile:
             raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
 
     def full_values(self):
-        """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros."""
+        """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros.
+
+        A sparse profile is scattered on the first call only.  The scatter is
+        frozen and kept with the profile, so every later consumer reads the
+        same array.
+        """
         if self.index is None:
             return self.values
-        return _scatter(self.n_qubits, 1 << (self.n_qubits - 1), self.index, self.values)
+        if self._full is None:
+            full = _scatter(self.n_qubits, 1 << (self.n_qubits - 1), self.index, self.values)
+            full.setflags(write=False)
+            object.__setattr__(self, "_full", full)
+        return self._full
 
     def to_json(self):
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""

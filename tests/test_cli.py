@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rotbell.cli as cli_mod
+import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
 from rotbell.cli import main
 from rotbell.oracle import cross_validate
@@ -30,7 +31,7 @@ from rotbell.states import (
     render_ket,
     state_to_json,
 )
-from rotbell.witness import k_sep_threshold
+from rotbell.witness import WitnessReport, k_sep_threshold
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +153,15 @@ def test_analyze_details_arrays(capsys):
     assert corr["correlation_tensor"] == [1.0, -0.0, -0.0, -1.0]
 
 
+def test_analyze_details_scatters_a_ket_profile_once(capsys, monkeypatch):
+    calls = []
+    real = correlation_mod._scatter
+    monkeypatch.setattr(correlation_mod, "_scatter", lambda *a: calls.append(a) or real(*a))
+    argv = ("analyze", "--ket", _ghz_ket(12), "--details", "--format", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == 1  # the profile pairs and the tensor read one dense vector
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_analyze_details_built_only_for_json(fmt, capsys, monkeypatch):
     argv = ("analyze", "--ket", "|000>+|111>", "--format", fmt)
@@ -194,6 +204,15 @@ def test_analyze_invalid_state_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--input", str(path))
     assert code == 1
     assert "not normalized" in err
+
+
+@pytest.mark.parametrize("bad, word", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_non_finite_report_field_exits_1_with_nothing_on_stdout(bad, word, capsys, monkeypatch):
+    real = WitnessReport.to_dict
+    monkeypatch.setattr(WitnessReport, "to_dict", lambda self: {**real(self), "r": bad})
+    code, out, err = run_cli(capsys, "analyze", "--ket", "|000>+|111>", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == f"error: Out of range float values are not JSON compliant: {word}\n"
 
 
 def test_analyze_missing_file_exits_1(capsys):
@@ -544,7 +563,7 @@ def test_analyze_oracle_prints_the_library_report(source, tmp_path, capsys):
         argv = ("--input", str(path))
     code, out, _ = run_cli(capsys, "analyze", *argv, "--oracle", "--format", "json")
     assert code == 0
-    assert json.loads(out)["oracle"] == cli_mod._round_tree(cross_validate(state).to_dict())
+    assert json.loads(out)["oracle"] == json.loads(cli_mod._json_text(cross_validate(state).to_dict()))
 
 
 def test_ghz_oracle_gates_attainability(capsys):
@@ -881,6 +900,46 @@ def test_analyze_details_digest(case, tmp_path, monkeypatch, capsys):
     golden = json.loads((GOLDEN / "details.json").read_text())
     assert code == 0
     assert _digest(out) == golden[case]
+
+
+_CHILD_RUNS = """
+import contextlib, io, json, sys
+from rotbell.cli import main
+runs = {}
+for case, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs[case] = [code, out.getvalue()]
+json.dump(runs, sys.stdout)
+"""
+
+
+def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
+    # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
+    # for another host.  The json goldens of analyze --ket and the --details digests
+    # must not move: no field of theirs depends on the kernel's roundoff.
+    monkeypatch.chdir(tmp_path)
+    argvs = {
+        **{f"{case} json": ["analyze", "--ket", ket, "--details", "--format", "json"]
+           for case, ket in _GOLDEN_KETS.items()},
+        **{f"{case} json": ["analyze", "--ket", ket, "--format", "json"]
+           for case, ket in _GOLDEN_LARGE_KETS.items()},
+        **{case: _details_argv(case) for case in _DETAILS_CASES},
+    }
+    proc = subprocess.run([sys.executable, "-c", _CHILD_RUNS], input=json.dumps(argvs),
+                          env=_child_env(OPENBLAS_CORETYPE="Prescott"), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    kets = json.loads((GOLDEN / "analyze_ket.json").read_text())
+    details = json.loads((GOLDEN / "details.json").read_text())
+    for case, (code, out) in runs.items():
+        assert code == 0, case
+        if case in details:
+            assert _digest(out) == details[case], case
+        else:
+            assert out == kets[case], case
 
 
 # ---------------------------------------------------------------------------
