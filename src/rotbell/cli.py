@@ -28,6 +28,7 @@ from .states import (
     MAX_PURE_QUBITS,
     MAX_TERM_QUBITS,
     _check_qubits,
+    _to_pairs,
     ghz_terms,
     make_ghz,
     parse_ket,
@@ -59,8 +60,6 @@ _MAX_INPUT_CHARS = max(1 << MAX_PURE_QUBITS, 1 << (2 * MAX_DENSE_QUBITS)) * 128
 
 def _fmt(x):
     """12-significant-digit, locale-independent rendering."""
-    if isinstance(x, float):  # the common case, tested first; no other branch takes a float
-        return format(float(x), ".12g")
     if x is None:
         return ""
     if isinstance(x, str):
@@ -80,8 +79,8 @@ def _json_number(x):
     return repr(value)
 
 
-def _json_array(arr, nl):
-    """The json text of a float64 array as nested lists, each distinct bit pattern formatted once.
+def _json_array(arr, out, nl):
+    """Append a float64 array as nested json lists, formatting each distinct bit pattern once.
 
     Bit patterns, not values, are compared, so -0.0 keeps its sign.  The
     leaves are joined in C order; between two leaves stands the separator of
@@ -89,7 +88,8 @@ def _json_array(arr, nl):
     close and reopen.
     """
     if not arr.size:  # an empty axis has no leaf to join: the nested lists give the layout
-        return _json_text(arr.tolist(), nl)
+        _json_parts(arr.tolist(), out, nl)
+        return
     bits, inverse = np.unique(arr.reshape(-1).view(np.int64), return_inverse=True)
     texts = np.array([_json_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
     ind = [nl + "  " * depth for depth in range(arr.ndim + 1)]
@@ -106,8 +106,9 @@ def _json_array(arr, nl):
     parts = np.empty(2 * arr.size - 1, dtype=object)
     parts[0::2] = texts[inverse.reshape(-1)]
     parts[1::2] = seps[rolls]
-    return ("".join("[" + ind[d] for d in range(1, arr.ndim + 1)) + "".join(parts.tolist())
-            + "".join(ind[d] + "]" for d in range(arr.ndim - 1, -1, -1)))
+    out.append("".join("[" + ind[d] for d in range(1, arr.ndim + 1)))
+    out.extend(parts.tolist())
+    out.append("".join(ind[d] + "]" for d in range(arr.ndim - 1, -1, -1)))
 
 
 def _json_text(obj, nl="\n"):
@@ -125,8 +126,7 @@ def _json_text(obj, nl="\n"):
 
 
 def _json_parts(obj, out, nl):
-    # leaves first, the commonest first; the type tests are disjoint, except that
-    # np.float64 is a float, so the order changes no output
+    # the commonest leaves first: no payload value passes two of these tests
     if isinstance(obj, float):
         out.append(_json_number(obj))
     elif isinstance(obj, (bool, int, np.bool_, np.integer)):
@@ -150,7 +150,7 @@ def _json_parts(obj, out, nl):
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
-        out.append(_json_array(obj, nl))
+        _json_array(obj, out, nl)
     else:
         out.append(_json_number(obj))
 
@@ -407,8 +407,8 @@ def cmd_analyze(args):
     details = None
     if args.details and args.format == "json":  # only the json report prints them
         prof = antidiagonal_profile(state)
-        details = {  # the [re, im] pairs are a float view of the profile's one scatter
-            "antidiagonal_profile": prof.full_values().view(np.float64).reshape(-1, 2),
+        details = {  # both arrays read the profile's one scatter
+            "antidiagonal_profile": _to_pairs(prof.full_values()),
             "correlation_tensor": correlation_tensor(prof).components,
         }
     # arbitrary states: a generic N >= 3 state has a real gap, which is data

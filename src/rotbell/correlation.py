@@ -126,7 +126,7 @@ class AntidiagonalProfile:
 
     def to_json(self):
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""
-        return _to_pairs(self.full_values())
+        return _to_pairs(self.full_values()).tolist()
 
 
 @dataclass(frozen=True, eq=False)

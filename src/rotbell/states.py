@@ -576,8 +576,9 @@ def render_ket(state):
 
 
 def _to_pairs(arr):
-    """The one [re, im] encoding of a complex array: nested lists with a trailing pair axis."""
-    return np.stack([arr.real, arr.imag], -1).tolist()
+    """The one [re, im] encoding of a complex array: a float64 view with a trailing pair axis."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(np.float64).reshape(arr.shape + (2,))
 
 
 def state_to_json(state):
@@ -585,7 +586,8 @@ def state_to_json(state):
     _require_state(state)
     for kind, (payload, _, cls) in _JSON_KINDS.items():
         if isinstance(state, cls):
-            return {"n": state.n_qubits, "kind": kind, payload: _to_pairs(getattr(state, payload))}
+            pairs = _to_pairs(getattr(state, payload)).tolist()
+            return {"n": state.n_qubits, "kind": kind, payload: pairs}
 
 
 _JSON_KINDS = {"pure": ("amplitudes", 2, PureState), "density": ("matrix", 3, DensityMatrix)}

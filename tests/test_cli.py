@@ -563,7 +563,8 @@ def test_analyze_oracle_prints_the_library_report(source, tmp_path, capsys):
         argv = ("--input", str(path))
     code, out, _ = run_cli(capsys, "analyze", *argv, "--oracle", "--format", "json")
     assert code == 0
-    assert json.loads(out)["oracle"] == json.loads(cli_mod._json_text(cross_validate(state).to_dict()))
+    library = cli_mod._json_text(cross_validate(state).to_dict())
+    assert json.loads(out)["oracle"] == json.loads(library)
 
 
 def test_ghz_oracle_gates_attainability(capsys):
