@@ -111,21 +111,23 @@ def _json_array(arr, out, nl):
     out.append("".join(ind[d] + "]" for d in range(arr.ndim - 1, -1, -1)))
 
 
-def _json_text(obj, nl="\n"):
-    """``obj`` in the layout of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``.
+def _json_text(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline, byte for byte.
 
     The one json writer.  Numbers take :func:`_fmt`'s 12 digits, booleans,
     integers and None their json words; dicts, lists, tuples and generators
-    nest, and a float64 array of one or more axes nests as lists.  ``nl`` is
-    the newline and indentation that ``obj`` starts at.  NaN and infinities
-    raise ValueError.
+    nest, and a float64 array of one or more axes nests as lists.  NaN and
+    infinities raise ValueError.  The final newline is joined with the rest,
+    so a large output is copied once.
     """
     out = []
-    _json_parts(obj, out, nl)
+    _json_parts(obj, out, "\n")
+    out.append("\n")
     return "".join(out)
 
 
 def _json_parts(obj, out, nl):
+    """Append the json text of ``obj``, whose nesting level starts its lines with ``nl``."""
     # the commonest leaves first: no payload value passes two of these tests
     if isinstance(obj, float):
         out.append(_json_number(obj))
@@ -163,7 +165,7 @@ def _emit(fmt, payload, tables, lines):
     generators, so that only the chosen format is rendered.
     """
     if fmt == "json":
-        text = _json_text(payload) + "\n"
+        text = _json_text(payload)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -127,6 +127,7 @@ def test_sparse_profile_stores_positions_and_scatters_once():
     prof = AntidiagonalProfile(3, [0.25j, -0.5], np.array([1, 3]))
     assert prof.index.tolist() == [1, 3] and not prof.index.flags.writeable
     assert prof.full_values().tolist() == [0, 0.25j, 0, -0.5]
+    assert prof.full_values() is prof.full_values() and not prof.full_values().flags.writeable
     assert prof.to_json() == [[0.0, 0.0], [0.0, 0.25], [0.0, 0.0], [-0.5, 0.0]]
     dense = AntidiagonalProfile(3, prof.full_values())
     assert dense.index is None and dense.full_values() is dense.values

@@ -40,7 +40,7 @@ def _round_tree(obj):
 
 
 def _oracle(obj):
-    return json.dumps(_round_tree(obj), indent=2, sort_keys=True, allow_nan=False)
+    return json.dumps(_round_tree(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # Where a notation switches: .12g writes exponents below 1e-4 and from 1e12 on,
