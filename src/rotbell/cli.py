@@ -93,10 +93,10 @@ def _json_array(arr, out, nl):
     bits, inverse = np.unique(arr.reshape(-1).view(np.int64), return_inverse=True)
     texts = np.array([_json_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
     ind = [nl + "  " * depth for depth in range(arr.ndim + 1)]
-    seps = np.array([
-        "".join(ind[d] + "]" for d in range(arr.ndim - 1, arr.ndim - 1 - rolls, -1)) + ","
-        + "".join(ind[d] + "[" for d in range(arr.ndim - rolls, arr.ndim)) + ind[-1]
-        for rolls in range(arr.ndim)
+    seps = np.array([  # seps[k]: close k axes, a comma, reopen them, indent the next leaf
+        "".join(ind[d] + "]" for d in range(arr.ndim - 1, arr.ndim - 1 - k, -1)) + ","
+        + "".join(ind[d] + "[" for d in range(arr.ndim - k, arr.ndim)) + ind[-1]
+        for k in range(arr.ndim)
     ], dtype=object)
     rolls = np.zeros(arr.size - 1, dtype=np.intp)
     block = 1
