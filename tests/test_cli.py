@@ -903,6 +903,25 @@ def test_analyze_details_digest(case, tmp_path, monkeypatch, capsys):
     assert _digest(out) == golden[case]
 
 
+# zoo's sampled maxima pinned by digest: every N = 1..10 row at two seeds,
+# and the N = 6..7 pool shape of the ksep-zoo workload at three seeds
+_ZOO_DIGEST_CASES = {
+    **{f"n1-10-seed{s}": ("--nmin", "1", "--nmax", "10", "--samples", "20", "--seed", str(s))
+       for s in (0, 1)},
+    **{f"n6-7-seed{s}": ("--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", str(s))
+       for s in (0, 1234567, 2**31 - 1)},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_ZOO_DIGEST_CASES))
+def test_zoo_digest(case, fmt, capsys):
+    code, out, _ = run_cli(capsys, "zoo", *_ZOO_DIGEST_CASES[case], "--format", fmt)
+    golden = json.loads((GOLDEN / "zoo.json").read_text())
+    assert code == 0
+    assert _digest(out) == golden[f"{case} {fmt}"]
+
+
 _CHILD_RUNS = """
 import contextlib, io, json, sys
 from rotbell.cli import main
