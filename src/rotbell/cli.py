@@ -22,12 +22,14 @@ from types import GeneratorType
 import numpy as np
 
 from .correlation import AntidiagonalProfile, antidiagonal_profile, correlation_tensor
+from .correlation import _check_profile_bound, _pure_profile
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
     MAX_TERM_QUBITS,
     _check_qubits,
+    _term_stacks,
     _to_pairs,
     ghz_terms,
     make_ghz,
@@ -35,7 +37,6 @@ from .states import (
     parse_ket_info,
     random_density_matrix,
     random_pure_state,
-    sample_product_terms,
     state_from_json,
     tensor_product,
 )
@@ -447,10 +448,23 @@ _ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),
                 ("sampled_max_r", "sampled_max_r", 15), ("sampled_within_bound", "within", 7))
 
 
-def _sampled_k_separable_profile(n, k, seed):
-    """Profile of a random 2-term k-separable mixture: the weighted sum of its terms' profiles."""
-    terms = sample_product_terms(n, k, n_terms=2, rng_seed=seed)  # checks the cap first
-    return AntidiagonalProfile(n, sum(w * antidiagonal_profile(t).values for w, t in terms))
+def _sampled_k_separable_profiles(n, k, seeds):
+    """Profiles of random 2-term k-separable mixtures, one per seed, drawn in stacks.
+
+    Each is the weighted sum ``0 + w_1 P_1 + w_2 P_2`` of the profiles of the
+    terms of ``sample_product_terms(n, k, 2, seed)``.  A stack's term profiles
+    are formed and checked against the 1/2 bound at once, and the stack's
+    amplitudes are dropped before the sums are formed.
+    """
+    for weights, amps in _term_stacks(n, k, 2, seeds):  # checks the cap first
+        terms = _pure_profile(amps)
+        del amps
+        _check_profile_bound(terms)
+        mixed = sum(w[:, None] * p for w, p in zip(weights.T, terms.swapaxes(0, 1)))
+        del terms
+        for vals in mixed:
+            yield AntidiagonalProfile(n, vals)
+        del mixed, vals  # before the next stack is drawn
 
 
 def cmd_zoo(args):
@@ -472,10 +486,8 @@ def cmd_zoo(args):
             ratio = thr / k_sep_threshold(n, k + 1) if k < n else None
             sampled = within = None
             if args.samples > 0:
-                sampled = max(
-                    classify(_sampled_k_separable_profile(n, k, (args.seed, n, k, i))).r
-                    for i in range(args.samples)
-                )
+                seeds = ((args.seed, n, k, i) for i in range(args.samples))
+                sampled = max(classify(p).r for p in _sampled_k_separable_profiles(n, k, seeds))
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
     _emit(args.format, *_table(_ZOO_COLUMNS, rows))

@@ -104,10 +104,7 @@ class AntidiagonalProfile:
             _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         half = 1 << (self.n_qubits - 1)
         size = half if self.index is None else _freeze_index(self, half, "profile index").size
-        vals = _freeze_array(self, "values", complex, (size,), "profile")
-        big = float(np.abs(vals).max(initial=0.0))
-        if big > 0.5 + ANTIDIAG_BOUND_TOL:
-            raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
+        _check_profile_bound(_freeze_array(self, "values", complex, (size,), "profile"))
 
     def full_values(self):
         """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros.
@@ -127,6 +124,19 @@ class AntidiagonalProfile:
     def to_json(self):
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""
         return _to_pairs(self.full_values()).tolist()
+
+
+def _check_profile_bound(vals):
+    """The 1/2 bound of a profile, or of a stack of profiles: every modulus at most 1/2."""
+    big = float(np.abs(vals).max(initial=0.0))
+    if big > 0.5 + ANTIDIAG_BOUND_TOL:
+        raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
+
+
+def _pure_profile(psi):
+    """``psi[0 k] * conj(psi[1 ~k])`` over the last axis: the one pure-state profile expression."""
+    half = psi.shape[-1] // 2
+    return psi[..., :half] * np.conj(psi[..., half:][..., ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,10 +272,7 @@ def antidiagonal_profile(state):
         hi = np.array([amp.get(full - k, 0j) for k in pos], dtype=complex)
         return AntidiagonalProfile(state.n_qubits, lo * np.conj(hi), pos)
     if isinstance(state, PureState):
-        psi = state.amplitudes
-        half = state.dim // 2
-        vals = psi[:half] * np.conj(psi[half:][::-1])
-        return AntidiagonalProfile(state.n_qubits, vals)
+        return AntidiagonalProfile(state.n_qubits, _pure_profile(state.amplitudes))
     if isinstance(state, DensityMatrix):
         half = state.dim // 2
         vals = np.fliplr(state.matrix).diagonal()[:half]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -267,27 +268,34 @@ def make_ghz(n):
     return ghz_terms(n).state
 
 
-def _place(arrays, blocks, n):
+def _place(arrays, blocks, n, out=None):
     """The one qubit placement: the joint array of block arrays on the qubits of ``blocks``.
 
-    ``arrays[i]`` (all amplitude vectors, or all matrices) lives on the qubits
-    of ``blocks[i]``, block labels in increasing order mapping to its own
-    qubits 1, 2, ...; ``n`` is the joint qubit count.  Each array is viewed
-    with one axis of size 2 per qubit (a matrix has its row axes, then its
-    column axes); the blocks are chained by one outer product in block order,
-    and one transpose sends every qubit's axes to its global position.  So
-    every entry is the product of one entry per block, multiplied in block
-    order.  Nothing is checked here.
+    ``arrays[i]`` (all complex amplitude vectors, or all complex matrices)
+    lives on the qubits of ``blocks[i]``, block labels in increasing order
+    mapping to its own qubits 1, 2, ...; ``n`` is the joint qubit count.  Each
+    array is viewed with one axis of size 2 per qubit (a matrix has its row
+    axes, then its column axes).  The blocks are chained by one outer product
+    in block order, and the last product is written into ``out`` (a fresh
+    array when None) through a transposed view of it that sends every
+    qubit's axes to their global position.  So every entry is the product of
+    one entry per block, multiplied in block order, and no second joint array
+    is made.  Nothing is checked here.
     """
     ndim = arrays[0].ndim
-    rows, cols, off = [0] * n, [0] * n, 0  # axes of global qubit q at index q-1
+    axes = []  # the joint axis of each block axis: qubit q's row axis q-1, its column axis n+q-1
     for block in blocks:
-        for j, q in enumerate(block):
-            rows[q - 1], cols[q - 1] = off + j, off + len(block) + j
-        off += ndim * len(block)
+        for side in range(ndim):
+            axes += [side * n + q - 1 for q in block]
     factors = [a.reshape((2,) * ndim * len(b)) for a, b in zip(arrays, blocks)]
-    joint = reduce(np.multiply.outer, factors)
-    return joint.transpose(rows if ndim == 1 else rows + cols).reshape((_dim(n),) * ndim)
+    if out is None:
+        out = np.empty((_dim(n),) * ndim, dtype=complex)
+    dst = out.reshape((2,) * ndim * n).transpose(axes)  # a view of out, axes in block order
+    if len(factors) == 1:
+        dst[...] = factors[0]
+    else:
+        np.multiply.outer(reduce(np.multiply.outer, factors[:-1]), factors[-1], out=dst)
+    return out
 
 
 def tensor_product(states, assignment):
@@ -360,16 +368,31 @@ def add_white_noise(rho0, visibility):
 # sampling
 
 
-def _haar_amplitudes(n, rng):
-    """The one Haar draw: 2^n real normals, then 2^n imaginary ones, divided by their norm."""
-    z = rng.standard_normal(_dim(n)) + 1j * rng.standard_normal(_dim(n))
-    return z / np.linalg.norm(z)
+def _haar_blocks(sizes, rng):
+    """The one Haar draw: Haar-random amplitudes for blocks of ``sizes`` qubits, in one call.
+
+    One ``standard_normal`` call gives, block by block, the block's 2^q real
+    normals, then its 2^q imaginary ones: the stream of one call per block
+    and part.  Each block is divided by its norm, taken by the rule of
+    ``np.linalg.norm`` for a complex vector without its per-call checks.
+    """
+    dims = [_dim(q) for q in sizes]
+    z = rng.standard_normal(2 * sum(dims))
+    blocks, off = [], 0
+    for d in dims:
+        amps = 1j * z[off + d:off + 2 * d]
+        amps += z[off:off + d]  # in place: the bits of z_re + 1j * z_im, without a third array
+        re, im = amps.real, amps.imag
+        amps /= np.sqrt(re.dot(re) + im.dot(im))
+        blocks.append(amps)
+        off += 2 * d
+    return blocks
 
 
 def random_pure_state(n, rng):
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    return PureState(n, _haar_amplitudes(n, rng))
+    return PureState(n, _haar_blocks([n], rng)[0])
 
 
 def random_density_matrix(n, rng, rank=None):
@@ -384,6 +407,29 @@ def random_density_matrix(n, rng, rank=None):
     return DensityMatrix(n, m / np.trace(m))
 
 
+def _check_sampler(n, k, n_terms):
+    """The argument rule of the product-term samplers; returns ``(int(n), int(k))``."""
+    n, k = _check_k(n, k)
+    if not _is_count(n_terms):
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
+    return n, k
+
+
+def _product_terms(n, k, n_terms, rng_seed, out=None):
+    """The one product-term draw: ``(w, amplitudes)`` per term, not yet checked.
+
+    Term t is placed into ``out[t]`` when ``out`` is given, else into a fresh array.
+    """
+    from .separability import sample_partition  # deferred: separability imports this module
+
+    rng = np.random.default_rng(rng_seed)
+    for t, w in enumerate(rng.dirichlet(np.ones(n_terms))):
+        part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
+        blocks = _haar_blocks([len(b) for b in part.blocks], rng)
+        yield float(w), _place(blocks, part.blocks, n, None if out is None else out[t])
+
+
 def sample_product_terms(n, k, n_terms, rng_seed):
     """Weighted pure product terms ``[(w, PureState), ...]`` of a random k-separable mixture.
 
@@ -395,25 +441,55 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     ``n_terms`` weights (``dirichlet``), then per term its block count
     (``integers``), its partition (``sample_partition``) and, block by block
     in ``part.blocks`` order, the block's real normals, then its imaginary
-    ones, exactly as :func:`random_pure_state` draws them.  Only the joint
-    term is validated, as one ``PureState``; the blocks are placed by the
-    same code as :func:`tensor_product`, so each term is bit for bit the
-    tensor product of ``random_pure_state`` blocks.  No 2^n x 2^n matrix is
-    built.
+    ones, exactly as :func:`random_pure_state` draws them.  The stream is the
+    same as one draw per block and part, but each term's normals come from
+    one ``standard_normal`` call.  Only the joint term is validated, as one
+    ``PureState``; the blocks are placed by the same code as
+    :func:`tensor_product`, so each term is bit for bit the tensor product
+    of ``random_pure_state`` blocks.  No 2^n x 2^n matrix is built.  ``zoo``
+    draws the same terms through ``_term_stacks`` and checks each row's
+    terms as one stack.
     """
-    n, k = _check_k(n, k)
-    if not _is_count(n_terms):
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    from .separability import sample_partition  # deferred: separability imports this module
+    n, k = _check_sampler(n, k, n_terms)
+    return [(w, PureState(n, amps)) for w, amps in _product_terms(n, k, n_terms, rng_seed)]
 
-    rng = np.random.default_rng(rng_seed)
-    terms = []
-    for w in rng.dirichlet(np.ones(n_terms)):
-        part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
-        blocks = [_haar_amplitudes(len(b), rng) for b in part.blocks]
-        terms.append((float(w), PureState(n, _place(blocks, part.blocks, n))))
-    return terms
+
+# Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
+# two-term samples holds one sample.
+_STACK_AMPLITUDES = 1 << 18
+
+
+def _term_stack(n, k, n_terms, seeds):
+    """Weights (S, n_terms) and amplitudes (S, n_terms, 2^n) of the terms drawn from S ``seeds``.
+
+    Sample s holds the terms of ``sample_product_terms(n, k, n_terms, seeds[s])``
+    bit for bit.  The stack is checked once by ``PureState``'s rules: every
+    amplitude finite, every term of unit norm.
+    """
+    weights = np.empty((len(seeds), n_terms))
+    amps = np.empty((len(seeds), n_terms, _dim(n)), dtype=complex)
+    for s, seed in enumerate(seeds):
+        for t, (w, _) in enumerate(_product_terms(n, k, n_terms, seed, amps[s])):
+            weights[s, t] = w
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitude vector contains NaN or Inf")
+    for term in amps.reshape(-1, amps.shape[-1]):
+        _check_unit_norm(term)
+    return weights, amps
+
+
+def _term_stacks(n, k, n_terms, seeds):
+    """``_term_stack`` over consecutive chunks of the iterable ``seeds``, each within the budget.
+
+    A chunk holds as many samples as fit ``_STACK_AMPLITUDES``, and at least
+    one.  The arguments are checked before anything is drawn, and ``seeds``
+    is read one chunk at a time.
+    """
+    n, k = _check_sampler(n, k, n_terms)
+    per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, per)):
+        yield _term_stack(n, k, n_terms, chunk)
 
 
 def sample_k_separable(n, k, n_terms, rng_seed):

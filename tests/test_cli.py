@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import rotbell.cli as cli_mod
 import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
+import rotbell.states as states_mod
 from rotbell.cli import main
 from rotbell.oracle import cross_validate
 from rotbell.states import (
@@ -647,7 +649,8 @@ def test_zoo_checks_its_largest_n_before_any_row(argv, message, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("zoo computed a row before checking --nmax")
 
-    monkeypatch.setattr(cli_mod, "sample_product_terms", refuse)
+    monkeypatch.setattr(cli_mod, "_term_stacks", refuse)
+    monkeypatch.setattr(states_mod, "_product_terms", refuse)
     monkeypatch.setattr(cli_mod, "ghz_terms", refuse)
     assert run_cli(capsys, "zoo", "--nmin", *argv) == (1, "", f"error: {message}\n")
 
@@ -782,6 +785,57 @@ def test_zoo_16_qubits_samples_profiles(capsys, no_huge_arrays):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert len(rows) == 16 and all(row[6] == "true" for row in rows)
+
+
+def test_zoo_20_qubits_peaks_no_higher_than_term_by_term_sampling(capsys):
+    # the term-by-term sampler peaked at 60.1 MiB on this command; a stack holds
+    # one sample at N = 20, and its amplitudes go before the sums are formed
+    argv = ("zoo", "--nmin", "20", "--nmax", "20", "--samples", "3")
+    run_cli(capsys, "zoo", "--nmin", "2", "--nmax", "2", "--samples", "1")  # set-up outside
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 21
+    assert peak <= 60.1 * 2**20
+
+
+def test_zoo_checks_each_stack_of_term_profiles_against_the_half_bound(capsys, monkeypatch):
+    profile = correlation_mod._pure_profile
+
+    def refuse(*args):
+        raise AssertionError("a mixture was formed before its terms were checked")
+
+    monkeypatch.setattr(cli_mod, "_pure_profile", lambda amps: 100.0 * profile(amps))
+    monkeypatch.setattr(cli_mod, "AntidiagonalProfile", refuse)
+    code, out, err = run_cli(capsys, "zoo", "--nmin", "2", "--nmax", "2", "--samples", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: antidiagonal modulus ") and err.endswith(" exceeds the 1/2 bound\n")
+
+
+class _FirstStackOnly(Exception):
+    pass
+
+
+def test_zoo_stacks_stay_within_the_amplitude_budget(capsys, monkeypatch):
+    # a million samples per row: the first stack is drawn, then the draw stops
+    shapes = []
+    real = states_mod._term_stack
+
+    def first_stack_only(n, k, n_terms, seeds):
+        if shapes:
+            raise _FirstStackOnly
+        weights, amps = real(n, k, n_terms, seeds)
+        shapes.append(amps.shape)
+        return weights, amps
+
+    monkeypatch.setattr(states_mod, "_term_stack", first_stack_only)
+    with pytest.raises(_FirstStackOnly):
+        main(["zoo", "--nmin", "10", "--nmax", "10", "--samples", str(10**6)])
+    assert shapes == [(states_mod._STACK_AMPLITUDES // (2 << 10), 2, 1 << 10)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 White noise only touches the diagonal, so the noisy antidiagonal is exactly
 V times the clean one, and a mixture's profile is the weighted sum of its
-terms' profiles.  The CLI relies on both facts bit for bit, and on a parsed
+terms' profiles, also when ``zoo`` forms a row's term profiles as one
+stack.  The CLI relies on both facts bit for bit, and on a parsed
 ket's sparse profile, built from its named terms alone, being the profile of
 its dense state.  A tensor product is, bit for bit, the index-by-index
 product of its blocks in block order, and every sampled product term obeys
@@ -24,7 +25,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rotbell.separability as separability_mod
-from rotbell.cli import _sampled_k_separable_profile
+import rotbell.states as states_mod
+from rotbell.cli import _sampled_k_separable_profiles
 from rotbell.correlation import (
     AntidiagonalProfile,
     antidiagonal_profile,
@@ -81,8 +83,25 @@ def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
     k = data.draw(st.integers(1, n))
     rng_seed = (seed, n, k, data.draw(st.integers(0, 50)))
     dense = antidiagonal_profile(sample_k_separable(n, k, n_terms=2, rng_seed=rng_seed))
-    summed = _sampled_k_separable_profile(n, k, rng_seed)
+    [summed] = _sampled_k_separable_profiles(n, k, [rng_seed])
     assert summed.values.tobytes() == dense.values.tobytes()
+
+
+@SETTINGS
+@given(st.integers(1, 10), seeds, st.integers(1, 9), st.integers(1, 4))
+def test_zoo_row_stacks_are_the_term_by_term_mixtures(n, seed, samples, per_stack):
+    """Every row drawn in stacks of ``per_stack`` samples gives each sample's term-by-term sum."""
+    for k in range(1, n + 1):
+        row = [(seed, n, k, i) for i in range(samples)]
+        with mock.patch.object(states_mod, "_STACK_AMPLITUDES", per_stack * 2 << n):
+            stacked = list(_sampled_k_separable_profiles(n, k, row))
+        assert len(stacked) == samples
+        for prof, rng_seed in zip(stacked, row):
+            terms = sample_product_terms(n, k, 2, rng_seed)
+            want = sum(w * antidiagonal_profile(t).values for w, t in terms)  # 0 + w_1 P_1 + w_2 P_2
+            assert prof.values.tobytes() == want.tobytes()
+            r, r0 = classify(prof).r, classify(AntidiagonalProfile(n, want)).r
+            assert np.float64(r).tobytes() == np.float64(r0).tobytes()
 
 
 @st.composite

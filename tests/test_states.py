@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import rotbell.states as states_mod
 from rotbell.states import (
     MAX_PURE_QUBITS,
     MAX_TERM_QUBITS,
@@ -430,6 +431,22 @@ def test_sample_product_terms_validate_each_term_once(n, k, n_terms):
     with _count_validations(PureState) as validations:
         terms = sample_product_terms(n, k, n_terms, rng_seed=3)
     assert validations.call_count == len(terms) == n_terms
+
+
+@pytest.mark.parametrize("scale, message", [(2.0, "not normalized"), (np.nan, "NaN or Inf")])
+def test_term_stack_checks_every_term_like_a_pure_state(scale, message):
+    draw = states_mod._haar_blocks
+
+    def spoiled(sizes, rng):
+        blocks = draw(sizes, rng)
+        blocks[-1] = blocks[-1] * scale
+        return blocks
+
+    with mock.patch.object(states_mod, "_haar_blocks", side_effect=spoiled):
+        with pytest.raises(ValueError, match=message):
+            states_mod._term_stack(3, 1, 2, [0, 1])
+        with pytest.raises(ValueError, match=message):
+            sample_product_terms(3, 1, 2, rng_seed=0)
 
 
 def test_sample_product_terms_checks_cap_first():
