@@ -416,18 +416,18 @@ def _check_sampler(n, k, n_terms):
     return n, k
 
 
-def _product_terms(n, k, n_terms, rng_seed, out=None):
+def _product_terms(n, k, n_terms, rng_seed, out):
     """The one product-term draw: ``(w, amplitudes)`` per term, not yet checked.
 
-    Term t is placed into ``out[t]`` when ``out`` is given, else into a fresh array.
+    Term t is placed into ``out[t]``, or into a fresh array where that is None.
     """
     from .separability import sample_partition  # deferred: separability imports this module
 
     rng = np.random.default_rng(rng_seed)
-    for t, w in enumerate(rng.dirichlet(np.ones(n_terms))):
+    for w, row in zip(rng.dirichlet(np.ones(n_terms)), out):
         part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
         blocks = _haar_blocks([len(b) for b in part.blocks], rng)
-        yield float(w), _place(blocks, part.blocks, n, None if out is None else out[t])
+        yield float(w), _place(blocks, part.blocks, n, row)
 
 
 def sample_product_terms(n, k, n_terms, rng_seed):
@@ -451,7 +451,8 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     terms as one stack.
     """
     n, k = _check_sampler(n, k, n_terms)
-    return [(w, PureState(n, amps)) for w, amps in _product_terms(n, k, n_terms, rng_seed)]
+    terms = _product_terms(n, k, n_terms, rng_seed, [None] * n_terms)
+    return [(w, PureState(n, amps)) for w, amps in terms]
 
 
 # Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
@@ -469,8 +470,7 @@ def _term_stack(n, k, n_terms, seeds):
     weights = np.empty((len(seeds), n_terms))
     amps = np.empty((len(seeds), n_terms, _dim(n)), dtype=complex)
     for s, seed in enumerate(seeds):
-        for t, (w, _) in enumerate(_product_terms(n, k, n_terms, seed, amps[s])):
-            weights[s, t] = w
+        weights[s] = [w for w, _ in _product_terms(n, k, n_terms, seed, amps[s])]
     if not np.isfinite(amps).all():
         raise ValueError("amplitude vector contains NaN or Inf")
     for term in amps.reshape(-1, amps.shape[-1]):
