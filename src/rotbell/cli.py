@@ -22,14 +22,13 @@ from types import GeneratorType
 import numpy as np
 
 from .correlation import AntidiagonalProfile, antidiagonal_profile, correlation_tensor
-from .correlation import _check_profile_bound, _pure_profile
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
+from .separability import _mixture_profiles
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
     MAX_TERM_QUBITS,
     _check_qubits,
-    _term_stacks,
     _to_pairs,
     ghz_terms,
     make_ghz,
@@ -448,25 +447,6 @@ _ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),
                 ("sampled_max_r", "sampled_max_r", 15), ("sampled_within_bound", "within", 7))
 
 
-def _sampled_k_separable_profiles(n, k, seeds):
-    """Profiles of random 2-term k-separable mixtures, one per seed, drawn in stacks.
-
-    Each is the weighted sum ``0 + w_1 P_1 + w_2 P_2`` of the profiles of the
-    terms of ``sample_product_terms(n, k, 2, seed)``.  A stack's term profiles
-    are formed and checked against the 1/2 bound at once, and the stack's
-    amplitudes are dropped before the sums are formed.
-    """
-    for weights, amps in _term_stacks(n, k, 2, seeds):  # checks the cap first
-        terms = _pure_profile(amps)
-        del amps
-        _check_profile_bound(terms)
-        mixed = sum(w[:, None] * p for w, p in zip(weights.T, terms.swapaxes(0, 1)))
-        del terms
-        for vals in mixed:
-            yield AntidiagonalProfile(n, vals)
-        del mixed, vals  # before the next stack is drawn
-
-
 def cmd_zoo(args):
     if not 1 <= args.nmin <= args.nmax:
         raise ValueError(f"need 1 <= nmin <= nmax, got nmin={args.nmin}, nmax={args.nmax}")
@@ -487,7 +467,7 @@ def cmd_zoo(args):
             sampled = within = None
             if args.samples > 0:
                 seeds = ((args.seed, n, k, i) for i in range(args.samples))
-                sampled = max(classify(p).r for p in _sampled_k_separable_profiles(n, k, seeds))
+                sampled = max(classify(p).r for p in _mixture_profiles(n, k, 2, seeds))
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
     _emit(args.format, *_table(_ZOO_COLUMNS, rows))

@@ -3,16 +3,21 @@
 A state that factorizes over a partition with k blocks has every antidiagonal
 modulus bounded by (1/2)^k, and convex mixing preserves that bound.  These
 bounds are what turn the violation factor into a k-separability witness.
+The profiles of random k-separable mixtures, which ``zoo`` tests against
+them, are drawn here too, by ``_mixture_profiles``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .correlation import ANTIDIAG_BOUND_TOL, antidiagonal_profile
-from .states import PartitionSpec, _check_k, _is_count
+from .correlation import ANTIDIAG_BOUND_TOL, AntidiagonalProfile, antidiagonal_profile
+from .correlation import _check_profile_bound, _pure_profile
+from .states import PartitionSpec, _check_k, _check_sampler, _check_unit_norm, _dim, _is_count
+from .states import _product_terms
 
 __all__ = [
     "stirling_second",
@@ -110,7 +115,15 @@ def sample_partition(n, k, rng):
     probability S(n-1, k-1)/S(n, k), otherwise it joins one of the k blocks of
     a uniform partition of {1..n-1}.
     """
-    n, k = _check_k(n, k)
+    return PartitionSpec(_partition_blocks(*_check_k(n, k), rng))
+
+
+def _partition_blocks(n, k, rng):
+    """The one partition draw: the blocks of :func:`sample_partition`, each a sorted list.
+
+    ``n`` and ``k`` are counts already checked, so the sampler's terms skip
+    ``_check_k`` and ``PartitionSpec``'s checks of a partition built correct.
+    """
     odds = _new_block_odds(n, k)
     blocks = []
     # A deferred element m joins one of the j blocks that the construction for
@@ -134,7 +147,47 @@ def sample_partition(n, k, rng):
             m -= 1
     for e, offset, jj in pending:
         blocks[offset + int(rng.integers(0, jj))].append(e)
-    return PartitionSpec(blocks)
+    return [sorted(b) for b in blocks]
+
+
+# Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
+# two-term samples holds one sample.
+_STACK_AMPLITUDES = 1 << 18
+
+
+def _mixture_profiles(n, k, n_terms, seeds):
+    """Profiles of random k-separable mixtures, one per seed: the one route of ``zoo``'s samples.
+
+    The profile for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the weighted
+    sum of the profiles of the terms of ``sample_product_terms(n, k, n_terms,
+    seed)``, bit for bit.  The arguments are checked before anything is
+    drawn.  ``seeds`` is read lazily, in chunks of as many samples as fit
+    ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms fill one
+    (samples, n_terms, 2^n) stack, which is checked once by ``PureState``'s
+    rules: every amplitude finite, every term of unit norm.  The term
+    profiles are taken and checked against the 1/2 bound as one stack, and
+    the amplitudes are dropped before the sums are formed.
+    """
+    n, k = _check_sampler(n, k, n_terms)
+    per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, per)):
+        weights = np.empty((len(chunk), n_terms))
+        amps = np.empty((len(chunk), n_terms, _dim(n)), dtype=complex)
+        for s, seed in enumerate(chunk):
+            weights[s] = [w for w, _ in _product_terms(n, k, n_terms, seed, amps[s])]
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitude vector contains NaN or Inf")
+        for term in amps.reshape(-1, amps.shape[-1]):
+            _check_unit_norm(term)
+        terms = _pure_profile(amps)
+        del amps, term  # every view of the stack, or it lives on into the next chunk
+        _check_profile_bound(terms)
+        mixed = sum(w[:, None] * p for w, p in zip(weights.T, terms.swapaxes(0, 1)))
+        del terms
+        for vals in mixed:
+            yield AntidiagonalProfile(n, vals)
+        del mixed, vals  # before the next chunk is drawn
 
 
 def max_antidiagonal_bound(k):

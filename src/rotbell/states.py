@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * samplers are deterministic: ``random_pure_state`` and
   ``random_density_matrix`` draw from a numpy ``Generator`` they are given,
   and ``sample_product_terms`` and ``sample_k_separable`` seed their own
-  from ``rng_seed``.
+  from ``rng_seed``.  ``zoo`` draws the same product terms, in stacks,
+  through ``separability._mixture_profiles``, the one route from seeds to
+  the profiles of k-separable mixtures.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import islice
 
 import numpy as np
 
@@ -421,13 +422,13 @@ def _product_terms(n, k, n_terms, rng_seed, out):
 
     Term t is placed into ``out[t]``, or into a fresh array where that is None.
     """
-    from .separability import sample_partition  # deferred: separability imports this module
+    from .separability import _partition_blocks  # deferred: separability imports this module
 
     rng = np.random.default_rng(rng_seed)
     for w, row in zip(rng.dirichlet(np.ones(n_terms)), out):
-        part = sample_partition(n, int(rng.integers(k, n + 1)), rng)
-        blocks = _haar_blocks([len(b) for b in part.blocks], rng)
-        yield float(w), _place(blocks, part.blocks, n, row)
+        part = _partition_blocks(n, int(rng.integers(k, n + 1)), rng)
+        blocks = _haar_blocks([len(b) for b in part], rng)
+        yield float(w), _place(blocks, part, n, row)
 
 
 def sample_product_terms(n, k, n_terms, rng_seed):
@@ -447,49 +448,12 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     ``PureState``; the blocks are placed by the same code as
     :func:`tensor_product`, so each term is bit for bit the tensor product
     of ``random_pure_state`` blocks.  No 2^n x 2^n matrix is built.  ``zoo``
-    draws the same terms through ``_term_stacks`` and checks each row's
-    terms as one stack.
+    draws the same terms through ``separability._mixture_profiles`` and
+    checks each row's terms as one stack.
     """
     n, k = _check_sampler(n, k, n_terms)
     terms = _product_terms(n, k, n_terms, rng_seed, [None] * n_terms)
     return [(w, PureState(n, amps)) for w, amps in terms]
-
-
-# Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
-# two-term samples holds one sample.
-_STACK_AMPLITUDES = 1 << 18
-
-
-def _term_stack(n, k, n_terms, seeds):
-    """Weights (S, n_terms) and amplitudes (S, n_terms, 2^n) of the terms drawn from S ``seeds``.
-
-    Sample s holds the terms of ``sample_product_terms(n, k, n_terms, seeds[s])``
-    bit for bit.  The stack is checked once by ``PureState``'s rules: every
-    amplitude finite, every term of unit norm.
-    """
-    weights = np.empty((len(seeds), n_terms))
-    amps = np.empty((len(seeds), n_terms, _dim(n)), dtype=complex)
-    for s, seed in enumerate(seeds):
-        weights[s] = [w for w, _ in _product_terms(n, k, n_terms, seed, amps[s])]
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitude vector contains NaN or Inf")
-    for term in amps.reshape(-1, amps.shape[-1]):
-        _check_unit_norm(term)
-    return weights, amps
-
-
-def _term_stacks(n, k, n_terms, seeds):
-    """``_term_stack`` over consecutive chunks of the iterable ``seeds``, each within the budget.
-
-    A chunk holds as many samples as fit ``_STACK_AMPLITUDES``, and at least
-    one.  The arguments are checked before anything is drawn, and ``seeds``
-    is read one chunk at a time.
-    """
-    n, k = _check_sampler(n, k, n_terms)
-    per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, per)):
-        yield _term_stack(n, k, n_terms, chunk)
 
 
 def sample_k_separable(n, k, n_terms, rng_seed):

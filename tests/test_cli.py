@@ -16,7 +16,7 @@ import pytest
 import rotbell.cli as cli_mod
 import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
-import rotbell.states as states_mod
+import rotbell.separability as separability_mod
 from rotbell.cli import main
 from rotbell.oracle import cross_validate
 from rotbell.states import (
@@ -649,8 +649,8 @@ def test_zoo_checks_its_largest_n_before_any_row(argv, message, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("zoo computed a row before checking --nmax")
 
-    monkeypatch.setattr(cli_mod, "_term_stacks", refuse)
-    monkeypatch.setattr(states_mod, "_product_terms", refuse)
+    monkeypatch.setattr(cli_mod, "_mixture_profiles", refuse)
+    monkeypatch.setattr(separability_mod, "_product_terms", refuse)
     monkeypatch.setattr(cli_mod, "ghz_terms", refuse)
     assert run_cli(capsys, "zoo", "--nmin", *argv) == (1, "", f"error: {message}\n")
 
@@ -809,8 +809,8 @@ def test_zoo_checks_each_stack_of_term_profiles_against_the_half_bound(capsys, m
     def refuse(*args):
         raise AssertionError("a mixture was formed before its terms were checked")
 
-    monkeypatch.setattr(cli_mod, "_pure_profile", lambda amps: 100.0 * profile(amps))
-    monkeypatch.setattr(cli_mod, "AntidiagonalProfile", refuse)
+    monkeypatch.setattr(separability_mod, "_pure_profile", lambda amps: 100.0 * profile(amps))
+    monkeypatch.setattr(separability_mod, "AntidiagonalProfile", refuse)
     code, out, err = run_cli(capsys, "zoo", "--nmin", "2", "--nmax", "2", "--samples", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: antidiagonal modulus ") and err.endswith(" exceeds the 1/2 bound\n")
@@ -823,19 +823,15 @@ class _FirstStackOnly(Exception):
 def test_zoo_stacks_stay_within_the_amplitude_budget(capsys, monkeypatch):
     # a million samples per row: the first stack is drawn, then the draw stops
     shapes = []
-    real = states_mod._term_stack
 
-    def first_stack_only(n, k, n_terms, seeds):
-        if shapes:
-            raise _FirstStackOnly
-        weights, amps = real(n, k, n_terms, seeds)
+    def first_stack_only(amps):
         shapes.append(amps.shape)
-        return weights, amps
+        raise _FirstStackOnly
 
-    monkeypatch.setattr(states_mod, "_term_stack", first_stack_only)
+    monkeypatch.setattr(separability_mod, "_pure_profile", first_stack_only)
     with pytest.raises(_FirstStackOnly):
         main(["zoo", "--nmin", "10", "--nmax", "10", "--samples", str(10**6)])
-    assert shapes == [(states_mod._STACK_AMPLITUDES // (2 << 10), 2, 1 << 10)]
+    assert shapes == [(separability_mod._STACK_AMPLITUDES // (2 << 10), 2, 1 << 10)]
 
 
 # ---------------------------------------------------------------------------

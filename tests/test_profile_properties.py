@@ -25,8 +25,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rotbell.separability as separability_mod
-import rotbell.states as states_mod
-from rotbell.cli import _sampled_k_separable_profiles
 from rotbell.correlation import (
     AntidiagonalProfile,
     antidiagonal_profile,
@@ -36,7 +34,7 @@ from rotbell.correlation import (
     correlation_value_trace,
     e_max,
 )
-from rotbell.separability import sample_partition, verify_antidiagonal_bound
+from rotbell.separability import _mixture_profiles, sample_partition, verify_antidiagonal_bound
 from rotbell.states import (
     DensityMatrix,
     PartitionSpec,
@@ -83,22 +81,22 @@ def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
     k = data.draw(st.integers(1, n))
     rng_seed = (seed, n, k, data.draw(st.integers(0, 50)))
     dense = antidiagonal_profile(sample_k_separable(n, k, n_terms=2, rng_seed=rng_seed))
-    [summed] = _sampled_k_separable_profiles(n, k, [rng_seed])
+    [summed] = _mixture_profiles(n, k, 2, [rng_seed])
     assert summed.values.tobytes() == dense.values.tobytes()
 
 
 @SETTINGS
-@given(st.integers(1, 10), seeds, st.integers(1, 9), st.integers(1, 4))
-def test_zoo_row_stacks_are_the_term_by_term_mixtures(n, seed, samples, per_stack):
+@given(st.integers(1, 10), seeds, st.integers(1, 9), st.integers(1, 4), st.integers(1, 4))
+def test_zoo_row_stacks_are_the_term_by_term_mixtures(n, seed, samples, per_stack, n_terms):
     """Every row drawn in stacks of ``per_stack`` samples gives each sample's term-by-term sum."""
     for k in range(1, n + 1):
         row = [(seed, n, k, i) for i in range(samples)]
-        with mock.patch.object(states_mod, "_STACK_AMPLITUDES", per_stack * 2 << n):
-            stacked = list(_sampled_k_separable_profiles(n, k, row))
+        with mock.patch.object(separability_mod, "_STACK_AMPLITUDES", per_stack * n_terms << n):
+            stacked = list(_mixture_profiles(n, k, n_terms, row))
         assert len(stacked) == samples
         for prof, rng_seed in zip(stacked, row):
-            terms = sample_product_terms(n, k, 2, rng_seed)
-            want = sum(w * antidiagonal_profile(t).values for w, t in terms)  # 0 + w_1 P_1 + w_2 P_2
+            terms = sample_product_terms(n, k, n_terms, rng_seed)
+            want = sum(w * antidiagonal_profile(t).values for w, t in terms)  # 0 + w_1 P_1 + ...
             assert prof.values.tobytes() == want.tobytes()
             r, r0 = classify(prof).r, classify(AntidiagonalProfile(n, want)).r
             assert np.float64(r).tobytes() == np.float64(r0).tobytes()
@@ -153,12 +151,14 @@ def test_every_sampled_term_obeys_the_bound_of_its_own_partition(data, n, seed):
     """Each product term over k' >= k blocks has every antidiagonal modulus at most (1/2)^k'."""
     k = data.draw(st.integers(1, n))
     parts = []
+    real = separability_mod._partition_blocks
 
     def record(*args):
-        parts.append(sample_partition(*args))
-        return parts[-1]
+        blocks = real(*args)
+        parts.append(PartitionSpec(blocks))  # a copy, checked, of the blocks the term is placed on
+        return blocks
 
-    with mock.patch.object(separability_mod, "sample_partition", side_effect=record):
+    with mock.patch.object(separability_mod, "_partition_blocks", side_effect=record):
         terms = sample_product_terms(n, k, data.draw(st.integers(1, 4)), rng_seed=seed)
     assert len(parts) == len(terms)
     for (_, term), part in zip(terms, parts):

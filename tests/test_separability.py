@@ -2,10 +2,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotbell.correlation import AntidiagonalProfile
 from rotbell.oracle import GridSearchConfig, maximize_grid, norm_squared_quadrature
 from rotbell.separability import (
+    _mixture_profiles,
+    _partition_blocks,
     enumerate_partitions,
     max_antidiagonal_bound,
     sample_partition,
@@ -120,6 +124,9 @@ def test_one_count_rule_for_n_and_k(bad):
         lambda: sample_product_terms(bad, 1, 1, rng_seed=0),
         lambda: sample_product_terms(3, bad, 1, rng_seed=0),
         lambda: sample_product_terms(3, 1, bad, rng_seed=0),
+        lambda: next(_mixture_profiles(bad, 1, 1, [])),  # on the first draw, before any seed
+        lambda: next(_mixture_profiles(3, bad, 1, [])),
+        lambda: next(_mixture_profiles(3, 1, bad, [])),
         lambda: max_antidiagonal_bound(bad),
     ]
     for call in refused:
@@ -191,6 +198,18 @@ def test_sample_partition_block_count_and_cover():
             p = sample_partition(n, k, rng)
             assert p.k == k
             assert p.n_qubits == n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_partition_blocks_are_the_stream_of_sample_partition(n, seed):
+    """The unchecked draw gives sample_partition's blocks from the same draws of the generator."""
+    for k in range(1, n + 1):
+        rng, rng0 = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            want = [list(b) for b in sample_partition(n, k, rng0).blocks]
+            assert _partition_blocks(n, k, rng) == want
+        assert rng.bit_generator.state == rng0.bit_generator.state
 
 
 def test_sample_partition_uniform():

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import rotbell.separability as separability_mod
 import rotbell.states as states_mod
 from rotbell.states import (
     MAX_PURE_QUBITS,
@@ -442,9 +443,13 @@ def test_term_stack_checks_every_term_like_a_pure_state(scale, message):
         blocks[-1] = blocks[-1] * scale
         return blocks
 
+    def refuse(amps):
+        raise AssertionError("term profiles were taken before the stack was checked")
+
     with mock.patch.object(states_mod, "_haar_blocks", side_effect=spoiled):
-        with pytest.raises(ValueError, match=message):
-            states_mod._term_stack(3, 1, 2, [0, 1])
+        with mock.patch.object(separability_mod, "_pure_profile", side_effect=refuse):
+            with pytest.raises(ValueError, match=message):
+                next(separability_mod._mixture_profiles(3, 1, 2, [0, 1]))
         with pytest.raises(ValueError, match=message):
             sample_product_terms(3, 1, 2, rng_seed=0)
 
@@ -452,6 +457,8 @@ def test_term_stack_checks_every_term_like_a_pure_state(scale, message):
 def test_sample_product_terms_checks_cap_first():
     with pytest.raises(ValueError, match="pure-state cap"):
         sample_product_terms(40, 1, 1, rng_seed=0)
+    with pytest.raises(ValueError, match="pure-state cap"):
+        next(separability_mod._mixture_profiles(40, 1, 1, []))
 
 
 def test_dense_constructors_check_cap_first():
