@@ -52,6 +52,7 @@ system in only N angles.  The oracle module measures that gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,6 @@ class AntidiagonalProfile:
     n_qubits: int
     values: np.ndarray = field(repr=False)
     index: np.ndarray | None = field(default=None, repr=False)
-    _full: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -109,17 +109,16 @@ class AntidiagonalProfile:
     def full_values(self):
         """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros.
 
-        A sparse profile is scattered on the first call only.  The scatter is
-        frozen and kept with the profile, so every later consumer reads the
-        same array.
+        A sparse profile is scattered once, on the first call, into a frozen
+        array that every later call returns.
         """
-        if self.index is None:
-            return self.values
-        if self._full is None:
-            full = _scatter(self.n_qubits, 1 << (self.n_qubits - 1), self.index, self.values)
-            full.setflags(write=False)
-            object.__setattr__(self, "_full", full)
-        return self._full
+        return self.values if self.index is None else self._scattered
+
+    @cached_property
+    def _scattered(self):
+        full = _scatter(self.n_qubits, 1 << (self.n_qubits - 1), self.index, self.values)
+        full.setflags(write=False)
+        return full
 
     def to_json(self):
         """[re, im] pairs of all elements in index order (k2..kN packed big-endian)."""

@@ -3,21 +3,20 @@
 A state that factorizes over a partition with k blocks has every antidiagonal
 modulus bounded by (1/2)^k, and convex mixing preserves that bound.  These
 bounds are what turn the violation factor into a k-separability witness.
-The profiles of random k-separable mixtures, which ``zoo`` tests against
-them, are drawn here too, by ``_mixture_profiles``.
+Partitions are drawn by ``states._partition_blocks``, the partition step of
+the term stream; ``zoo``'s mixture profiles are summed here, by ``_mixture_profiles``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .correlation import ANTIDIAG_BOUND_TOL, AntidiagonalProfile, antidiagonal_profile
 from .correlation import _check_profile_bound, _pure_profile
-from .states import PartitionSpec, _check_k, _check_sampler, _check_unit_norm, _dim, _is_count
-from .states import _product_terms
+from .states import PartitionSpec, _check_finite, _check_k, _check_sampler, _check_unit_norm, _dim
+from .states import _is_count, _partition_blocks, _product_terms, _stirling_rows
 
 __all__ = [
     "stirling_second",
@@ -32,19 +31,6 @@ __all__ = [
 MAX_ENUMERATION_QUBITS = 8
 
 
-def _stirling_rows(n, k):
-    """Rows [S(m, 0), ..., S(m, k)] for m = 0..n, one after another, in Python ints.
-
-    Each row follows from the one before by S(m, j) = j S(m-1, j) + S(m-1, j-1),
-    so any n needs O(k) memory and no recursion, and no count can wrap.
-    """
-    row = [1] + [0] * k
-    yield row
-    for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-        yield row
-
-
 def stirling_second(n, k):
     """Stirling number of the second kind S(n, k), exact integer."""
     if not (_is_count(n, 0) and _is_count(k, 0)):
@@ -55,22 +41,6 @@ def stirling_second(n, k):
     for row in _stirling_rows(n, k):
         pass
     return row[k]
-
-
-@lru_cache(maxsize=64)  # zoo and sample_product_terms use at most n (n, j) pairs at a time
-def _new_block_odds(n, k):
-    """``odds[m][j] = S(m-1, j-1) / S(m, j)``, the chance that element m opens a new block.
-
-    Listed for m <= n and j <= k (0.0 where S(m, j) = 0); each ratio of the
-    exact counts is rounded once.
-    """
-    rows = _stirling_rows(n, k)
-    prev = next(rows)
-    odds = [()]
-    for row in rows:
-        odds.append(tuple(prev[j - 1] / row[j] if row[j] else 0.0 for j in range(k + 1)))
-        prev = row
-    return tuple(odds)
 
 
 def _rgs_strings(n, prefix=(0,)):
@@ -110,44 +80,12 @@ def enumerate_partitions(n, k_min):
 def sample_partition(n, k, rng):
     """Uniformly random set partition of {1..n} with exactly k blocks.
 
-    Sequential construction from the Stirling recurrence
-    S(n, k) = S(n-1, k-1) + k S(n-1, k): element n starts its own block with
-    probability S(n-1, k-1)/S(n, k), otherwise it joins one of the k blocks of
-    a uniform partition of {1..n-1}.
+    Drawn by ``states._partition_blocks``, the partition step of the term stream,
+    from the Stirling recurrence S(n, k) = S(n-1, k-1) + k S(n-1, k): element n
+    starts its own block with probability S(n-1, k-1)/S(n, k), otherwise it
+    joins one of the k blocks of a uniform partition of {1..n-1}.
     """
     return PartitionSpec(_partition_blocks(*_check_k(n, k), rng))
-
-
-def _partition_blocks(n, k, rng):
-    """The one partition draw: the blocks of :func:`sample_partition`, each a sorted list.
-
-    ``n`` and ``k`` are counts already checked, so the sampler's terms skip
-    ``_check_k`` and ``PartitionSpec``'s checks of a partition built correct.
-    """
-    odds = _new_block_odds(n, k)
-    blocks = []
-    # A deferred element m joins one of the j blocks that the construction for
-    # {1..m-1} is about to create; those are exactly the blocks appended after
-    # its defer point, so remember (element, offset, j).
-    pending = []
-    m, j = n, k
-    while m > 0:
-        if j == m:
-            for e in range(m, 0, -1):
-                blocks.append([e])
-            break
-        if j == 1:
-            blocks.append(list(range(m, 0, -1)))
-            break
-        if rng.random() < odds[m][j]:
-            blocks.append([m])
-            m, j = m - 1, j - 1
-        else:
-            pending.append((m, len(blocks), j))
-            m -= 1
-    for e, offset, jj in pending:
-        blocks[offset + int(rng.integers(0, jj))].append(e)
-    return [sorted(b) for b in blocks]
 
 
 # Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
@@ -176,8 +114,7 @@ def _mixture_profiles(n, k, n_terms, seeds):
         amps = np.empty((len(chunk), n_terms, _dim(n)), dtype=complex)
         for s, seed in enumerate(chunk):
             weights[s] = [w for w, _ in _product_terms(n, k, n_terms, seed, amps[s])]
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitude vector contains NaN or Inf")
+        _check_finite(amps, "amplitude vector")
         for term in amps.reshape(-1, amps.shape[-1]):
             _check_unit_norm(term)
         terms = _pure_profile(amps)

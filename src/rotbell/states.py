@@ -9,16 +9,16 @@ Conventions used throughout the package:
 * samplers are deterministic: ``random_pure_state`` and
   ``random_density_matrix`` draw from a numpy ``Generator`` they are given,
   and ``sample_product_terms`` and ``sample_k_separable`` seed their own
-  from ``rng_seed``.  ``zoo`` draws the same product terms, in stacks,
-  through ``separability._mixture_profiles``, the one route from seeds to
-  the profiles of k-separable mixtures.
+  from ``rng_seed``.  Every sampled product term is drawn here, by
+  ``_product_terms``, whose partition step is ``_partition_blocks``; ``zoo``
+  draws the same terms, in stacks, through ``separability._mixture_profiles``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -101,12 +101,17 @@ def _freeze_array(obj, field, dtype, shape, what):
             raise ValueError(f"{what} has length {arr.size}, expected {shape[0]}")
     elif arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():  # integers are always finite
-        raise ValueError(f"{what} contains NaN or Inf")
+    _check_finite(arr, what)
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     object.__setattr__(obj, "n_qubits", int(obj.n_qubits))
     return arr
+
+
+def _check_finite(arr, what):
+    """The one finiteness rule for arrays: refuse any NaN or Inf."""
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():  # integers are always finite
+        raise ValueError(f"{what} contains NaN or Inf")
 
 
 def _freeze_index(obj, bound, what):
@@ -417,13 +422,72 @@ def _check_sampler(n, k, n_terms):
     return n, k
 
 
+def _stirling_rows(n, k):
+    """Rows [S(m, 0), ..., S(m, k)] for m = 0..n, one after another, in Python ints.
+
+    Each row follows from the one before by S(m, j) = j S(m-1, j) + S(m-1, j-1),
+    so any n needs O(k) memory and no recursion, and no count can wrap.
+    """
+    row = [1] + [0] * k
+    yield row
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        yield row
+
+
+@lru_cache(maxsize=64)  # zoo and sample_product_terms use at most n (n, j) pairs at a time
+def _new_block_odds(n, k):
+    """``odds[m][j] = S(m-1, j-1) / S(m, j)``, the chance that element m opens a new block.
+
+    Listed for m <= n and j <= k (0.0 where S(m, j) = 0); each ratio of the
+    exact counts is rounded once.
+    """
+    rows = _stirling_rows(n, k)
+    prev = next(rows)
+    odds = [()]
+    for row in rows:
+        odds.append(tuple(prev[j - 1] / row[j] if row[j] else 0.0 for j in range(k + 1)))
+        prev = row
+    return tuple(odds)
+
+
+def _partition_blocks(n, k, rng):
+    """The one partition draw: the blocks of ``separability.sample_partition``, each sorted.
+
+    ``n`` and ``k`` are counts already checked, so the sampler's terms skip
+    ``_check_k`` and ``PartitionSpec``'s checks of a partition built correct.
+    """
+    odds = _new_block_odds(n, k)
+    blocks = []
+    # A deferred element m joins one of the j blocks that the construction for
+    # {1..m-1} is about to create; those are exactly the blocks appended after
+    # its defer point, so remember (element, offset, j).
+    pending = []
+    m, j = n, k
+    while m > 0:
+        if j == m:
+            for e in range(m, 0, -1):
+                blocks.append([e])
+            break
+        if j == 1:
+            blocks.append(list(range(m, 0, -1)))
+            break
+        if rng.random() < odds[m][j]:
+            blocks.append([m])
+            m, j = m - 1, j - 1
+        else:
+            pending.append((m, len(blocks), j))
+            m -= 1
+    for e, offset, jj in pending:
+        blocks[offset + int(rng.integers(0, jj))].append(e)
+    return [sorted(b) for b in blocks]
+
+
 def _product_terms(n, k, n_terms, rng_seed, out):
     """The one product-term draw: ``(w, amplitudes)`` per term, not yet checked.
 
     Term t is placed into ``out[t]``, or into a fresh array where that is None.
     """
-    from .separability import _partition_blocks  # deferred: separability imports this module
-
     rng = np.random.default_rng(rng_seed)
     for w, row in zip(rng.dirichlet(np.ones(n_terms)), out):
         part = _partition_blocks(n, int(rng.integers(k, n + 1)), rng)
@@ -440,7 +504,7 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     block states.  Weights are uniform on the simplex.  Deterministic for a
     fixed ``rng_seed``, which seeds one generator drawn in this order: the
     ``n_terms`` weights (``dirichlet``), then per term its block count
-    (``integers``), its partition (``sample_partition``) and, block by block
+    (``integers``), its partition (``_partition_blocks``) and, block by block
     in ``part.blocks`` order, the block's real normals, then its imaginary
     ones, exactly as :func:`random_pure_state` draws them.  The stream is the
     same as one draw per block and part, but each term's normals come from

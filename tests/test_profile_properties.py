@@ -25,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rotbell.separability as separability_mod
+import rotbell.states as states_mod
 from rotbell.correlation import (
     AntidiagonalProfile,
     antidiagonal_profile,
@@ -151,14 +152,14 @@ def test_every_sampled_term_obeys_the_bound_of_its_own_partition(data, n, seed):
     """Each product term over k' >= k blocks has every antidiagonal modulus at most (1/2)^k'."""
     k = data.draw(st.integers(1, n))
     parts = []
-    real = separability_mod._partition_blocks
+    real = states_mod._partition_blocks
 
     def record(*args):
         blocks = real(*args)
         parts.append(PartitionSpec(blocks))  # a copy, checked, of the blocks the term is placed on
         return blocks
 
-    with mock.patch.object(separability_mod, "_partition_blocks", side_effect=record):
+    with mock.patch.object(states_mod, "_partition_blocks", side_effect=record):
         terms = sample_product_terms(n, k, data.draw(st.integers(1, 4)), rng_seed=seed)
     assert len(parts) == len(terms)
     for (_, term), part in zip(terms, parts):

@@ -9,7 +9,6 @@ from rotbell.correlation import AntidiagonalProfile
 from rotbell.oracle import GridSearchConfig, maximize_grid, norm_squared_quadrature
 from rotbell.separability import (
     _mixture_profiles,
-    _partition_blocks,
     enumerate_partitions,
     max_antidiagonal_bound,
     sample_partition,
@@ -19,6 +18,7 @@ from rotbell.separability import (
 from rotbell.states import (
     PartitionSpec,
     PureState,
+    _partition_blocks,
     make_ghz,
     mix,
     parse_ket_info,
