@@ -1,4 +1,7 @@
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from rotbell.states import (
 from rotbell.witness import k_sep_threshold, max_violation_bound, violation_factor
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def stirling_oracle(n, k):
@@ -198,6 +202,22 @@ def test_sample_partition_block_count_and_cover():
             p = sample_partition(n, k, rng)
             assert p.k == k
             assert p.n_qubits == n
+
+
+def _partition_stream(n, k, draws=40):
+    """Blocks of ``draws`` seeded sample_partition calls, one partition per line."""
+    rng = np.random.default_rng((n, k))
+    return "".join(
+        "|".join(",".join(map(str, b)) for b in sample_partition(n, k, rng).blocks) + "\n"
+        for _ in range(draws)
+    )
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)])
+def test_partition_stream_golden(n, k):
+    """The partition step of the term stream, pinned at its own layer for every (n, k <= n <= 8)."""
+    golden = json.loads((GOLDEN / "partitions.json").read_text())
+    assert hashlib.sha256(_partition_stream(n, k).encode()).hexdigest() == golden[f"n{n} k{k}"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
