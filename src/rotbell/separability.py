@@ -100,7 +100,11 @@ def _mixture_profiles(n, k, n_terms, seeds):
     sum of the profiles of the terms of ``sample_product_terms(n, k, n_terms,
     seed)``, bit for bit.  The arguments are checked before anything is
     drawn.  ``seeds`` is read lazily, in chunks of as many samples as fit
-    ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms fill one
+    ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms come from one
+    call of ``states._product_terms``: up to n = 10, the blocks of every term
+    of the chunk are built as one flat array and each term is one gather of
+    its blocks' entries and one product, and past that each term is placed
+    on its own by ``tensor_product``'s placement.  They fill one
     (samples, n_terms, 2^n) stack, which is checked once by ``PureState``'s
     rules: every amplitude finite, every term of unit norm.  The term
     profiles are taken and checked against the 1/2 bound as one stack, and
@@ -110,10 +114,9 @@ def _mixture_profiles(n, k, n_terms, seeds):
     per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
     seeds = iter(seeds)
     while chunk := list(islice(seeds, per)):
-        weights = np.empty((len(chunk), n_terms))
         amps = np.empty((len(chunk), n_terms, _dim(n)), dtype=complex)
-        for s, seed in enumerate(chunk):
-            weights[s] = [w for w, _ in _product_terms(n, k, n_terms, seed, amps[s])]
+        terms = _product_terms(n, k, n_terms, chunk, amps.reshape(-1, _dim(n)))
+        weights = np.fromiter((w for w, _ in terms), float).reshape(len(chunk), n_terms)
         _check_finite(amps, "amplitude vector")
         for term in amps.reshape(-1, amps.shape[-1]):
             _check_unit_norm(term)

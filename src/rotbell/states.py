@@ -10,8 +10,9 @@ Conventions used throughout the package:
   ``random_density_matrix`` draw from a numpy ``Generator`` they are given,
   and ``sample_product_terms`` and ``sample_k_separable`` seed their own
   from ``rng_seed``.  Every sampled product term is drawn here, by
-  ``_product_terms``, whose partition step is ``_partition_blocks``; ``zoo``
-  draws the same terms, in stacks, through ``separability._mixture_profiles``.
+  ``_term_draws``, whose partition step is ``_partition_blocks``, and built
+  and placed by ``_product_terms``; ``zoo`` draws the same terms, in stacks,
+  through ``separability._mixture_profiles``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, groupby, islice
 
 import numpy as np
 
@@ -374,31 +376,53 @@ def add_white_noise(rho0, visibility):
 # sampling
 
 
-def _haar_blocks(sizes, rng):
-    """The one Haar draw: Haar-random amplitudes for blocks of ``sizes`` qubits, in one call.
+def _haar_blocks(z, dims):
+    """The one Haar rule: normalized amplitudes of blocks of ``dims`` entries, from their normals.
 
-    One ``standard_normal`` call gives, block by block, the block's 2^q real
-    normals, then its 2^q imaginary ones: the stream of one call per block
-    and part.  Each block is divided by its norm, taken by the rule of
-    ``np.linalg.norm`` for a complex vector without its per-call checks.
+    ``z`` holds, block by block, the block's d real normals, then its d
+    imaginary ones: the stream of one ``standard_normal`` call per block and
+    part.  Returns one flat array of every block's amplitudes and the
+    position of each block in it; blocks of one size sit side by side, in
+    their order in ``dims``, the smallest size first.  The amplitudes
+    ``z_re + 1j * z_im`` are built, and divided by their block's norm, over
+    the whole flat array at once.  The norm is taken per block by the rule
+    of ``np.linalg.norm`` for a complex vector without its per-call checks:
+    a dot of the block's ``.real`` view with itself plus one of its
+    ``.imag`` view.  One ``matmul`` of vector stacks makes those dots for
+    all the blocks of one size; it calls the same strided dot per block.
     """
-    dims = [_dim(q) for q in sizes]
-    z = rng.standard_normal(2 * sum(dims))
-    blocks, off = [], 0
-    for d in dims:
-        amps = 1j * z[off + d:off + 2 * d]
-        amps += z[off:off + d]  # in place: the bits of z_re + 1j * z_im, without a third array
-        re, im = amps.real, amps.imag
-        amps /= np.sqrt(re.dot(re) + im.dot(im))
-        blocks.append(amps)
-        off += 2 * d
-    return blocks
+    order = sorted(range(len(dims)), key=dims.__getitem__)  # stable
+    sizes = [dims[i] for i in order]
+    at = list(accumulate(sizes, initial=0))
+    starts = [0] * len(dims)
+    for i, a in zip(order, at):
+        starts[i] = a
+    counts = np.array(sizes)
+    if len(dims) == 1:  # one block: its halves are views of z
+        re, im = z[:at[1]], z[at[1]:]
+    else:
+        z_at = list(accumulate(dims, initial=0))  # block i's normals start at 2 * z_at[i]
+        src = np.repeat(np.array([2 * z_at[i] - a for i, a in zip(order, at)]), counts)
+        src += np.arange(at[-1])  # the position in z of every real normal
+        re, im = z[src], z[src + np.repeat(counts, counts)]
+    amps = 1j * im
+    amps += re  # in place: the bits of z_re + 1j * z_im, without a third array
+    parts = amps.view(float).reshape(-1, 2).T  # the .real and .imag views, as two rows
+    dots, a = [], 0
+    for d, same in groupby(sizes):
+        b = a + d * len(list(same))
+        v = parts[:, a:b].reshape(2, -1, 1, d)
+        dots.append(v @ v.swapaxes(2, 3))
+        a = b
+    re, im = np.concatenate(dots, axis=1).reshape(2, -1)
+    amps /= np.repeat(np.sqrt(re + im), counts)
+    return amps, starts
 
 
 def random_pure_state(n, rng):
     """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
-    return PureState(n, _haar_blocks([n], rng)[0])
+    return PureState(n, _haar_blocks(rng.standard_normal(2 * _dim(n)), [_dim(n)])[0])
 
 
 def random_density_matrix(n, rng, rank=None):
@@ -483,16 +507,79 @@ def _partition_blocks(n, k, rng):
     return [sorted(b) for b in blocks]
 
 
-def _product_terms(n, k, n_terms, rng_seed, out):
-    """The one product-term draw: ``(w, amplitudes)`` per term, not yet checked.
+# Terms of at most this many amplitudes are placed by one gather and one product
+# each, larger ones by _place.  The gather's work grows with the block count and
+# _place's does not: per term, 32 against 68 us at n = 10, 82 against 76 us at
+# n = 11 (the crossover; one BLAS thread, 2-CPU x86-64 host, numpy 2.4).
+_GATHER_AMPLITUDES = 1 << 10
 
-    Term t is placed into ``out[t]``, or into a fresh array where that is None.
+
+@lru_cache(maxsize=2)  # zoo and the samplers place the terms of one n at a time
+def _local_indices(n):
+    """(2^n, 2^n) table: entry [m, x] is the index of joint index x in the block of qubit mask m.
+
+    The qubits of mask m are those of its set bits, qubit 1 the most
+    significant; the block's index reads x's bits on them in that order.
     """
-    rng = np.random.default_rng(rng_seed)
-    for w, row in zip(rng.dirichlet(np.ones(n_terms)), out):
-        part = _partition_blocks(n, int(rng.integers(k, n + 1)), rng)
-        blocks = _haar_blocks([len(b) for b in part], rng)
-        yield float(w), _place(blocks, part, n, row)
+    x = np.arange(_dim(n))
+    mask = x[:, None]
+    table = np.zeros((_dim(n), _dim(n)), dtype=np.intp)
+    for shift in range(n - 1, -1, -1):
+        on = (mask >> shift) & 1
+        table <<= on
+        table |= (x >> shift) & on
+    return table.astype(np.min_scalar_type(_dim(n) - 1))  # 2 MiB at n = 10
+
+
+def _term_draws(n, k, n_terms, seeds):
+    """``(w, part, z)`` per term of every seed: every draw of the term stream, in its order.
+
+    ``z`` holds the term's normals, one ``standard_normal`` call per term.
+    """
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for w in rng.dirichlet(np.ones(n_terms)):
+            part = _partition_blocks(n, int(rng.integers(k, n + 1)), rng)
+            yield float(w), part, rng.standard_normal(2 * sum(1 << len(b) for b in part))
+
+
+def _product_terms(n, k, n_terms, seeds, rows):
+    """The one route of sampled terms: ``(w, amplitudes)`` per term of every seed, not yet checked.
+
+    The terms of ``seeds`` come seed by seed, each placed into the next entry
+    of ``rows``, or into a fresh array where that is None.  Every entry is
+    the product of one entry per block, multiplied in block order, as
+    :func:`tensor_product` forms it.  Terms of at most ``_GATHER_AMPLITUDES``
+    amplitudes are all drawn first, and ``_haar_blocks`` builds the blocks of
+    all of them as one flat array.  Each term is then one gather of its
+    blocks' entries, a (k, 2^n) stack, and one product over the blocks.
+    Larger terms are drawn, built and placed one at a time, by ``_place``.
+    """
+    draws = _term_draws(n, k, n_terms, seeds)
+    rows = iter(rows)
+    gather = _dim(n) <= _GATHER_AMPLITUDES
+    bit = [1 << n - q for q in range(n + 1)]  # qubit q's bit of a joint index
+    while batch := list(islice(draws, None if gather else 1)):
+        qubits = [b for _, part, _ in batch for b in part]
+        dims = [1 << len(b) for b in qubits]
+        z = batch[0][2] if len(batch) == 1 else np.concatenate([normals for *_, normals in batch])
+        flat, starts = _haar_blocks(z, dims)
+        if gather:
+            local = _local_indices(n)
+            masks = np.array([sum(map(bit.__getitem__, b)) for b in qubits])
+            starts = np.array(starts)[:, None]
+        a = 0
+        for (w, part, _), row in zip(batch, rows):
+            b = a + len(part)
+            if gather:
+                # The stack is C-contiguous and multiplied by reduce along axis 0:
+                # block by block, in block order, as _place's chain of outer
+                # products.  reduceat, or an F-ordered stack, rounds differently.
+                stack = flat[local[masks[a:b]] + starts[a:b]]
+                yield w, np.multiply.reduce(stack, axis=0, out=row)
+            else:
+                yield w, _place([flat[s:s + d] for s, d in zip(starts, dims)], part, n, row)
+            a = b
 
 
 def sample_product_terms(n, k, n_terms, rng_seed):
@@ -508,15 +595,18 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     in ``part.blocks`` order, the block's real normals, then its imaginary
     ones, exactly as :func:`random_pure_state` draws them.  The stream is the
     same as one draw per block and part, but each term's normals come from
-    one ``standard_normal`` call.  Only the joint term is validated, as one
-    ``PureState``; the blocks are placed by the same code as
-    :func:`tensor_product`, so each term is bit for bit the tensor product
-    of ``random_pure_state`` blocks.  No 2^n x 2^n matrix is built.  ``zoo``
-    draws the same terms through ``separability._mixture_profiles`` and
-    checks each row's terms as one stack.
+    one ``standard_normal`` call.  The terms are built by ``_product_terms``:
+    up to n = 10 all blocks of all terms as one flat array, each term placed
+    by one gather of its blocks' entries and one product over them, and past
+    that one term at a time by :func:`tensor_product`'s placement.  Either
+    way each term is bit for bit the tensor product of ``random_pure_state``
+    blocks.  Only the joint term is validated, as one ``PureState``.  No
+    2^n x 2^n matrix is built.  ``zoo`` draws the same terms through
+    ``separability._mixture_profiles`` and checks each row's terms as one
+    stack.
     """
     n, k = _check_sampler(n, k, n_terms)
-    terms = _product_terms(n, k, n_terms, rng_seed, [None] * n_terms)
+    terms = _product_terms(n, k, n_terms, [rng_seed], [None] * n_terms)
     return [(w, PureState(n, amps)) for w, amps in terms]
 
 

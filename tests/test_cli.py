@@ -987,8 +987,9 @@ json.dump(runs, sys.stdout)
 
 def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
     # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
-    # for another host.  The json goldens of analyze --ket and the --details digests
-    # must not move: no field of theirs depends on the kernel's roundoff.
+    # for another host.  The json goldens of analyze --ket, the --details digests and
+    # the zoo digests must not move: no field of theirs depends on the kernel's
+    # roundoff, and zoo's term norms are BLAS dots.
     monkeypatch.chdir(tmp_path)
     argvs = {
         **{f"{case} json": ["analyze", "--ket", ket, "--details", "--format", "json"]
@@ -996,6 +997,8 @@ def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
         **{f"{case} json": ["analyze", "--ket", ket, "--format", "json"]
            for case, ket in _GOLDEN_LARGE_KETS.items()},
         **{case: _details_argv(case) for case in _DETAILS_CASES},
+        **{f"zoo {case} {fmt}": ["zoo", *argv, "--format", fmt]
+           for case, argv in _ZOO_DIGEST_CASES.items() for fmt in ("csv", "json")},
     }
     proc = subprocess.run([sys.executable, "-c", _CHILD_RUNS], input=json.dumps(argvs),
                           env=_child_env(OPENBLAS_CORETYPE="Prescott"), capture_output=True,
@@ -1003,11 +1006,13 @@ def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
     kets = json.loads((GOLDEN / "analyze_ket.json").read_text())
-    details = json.loads((GOLDEN / "details.json").read_text())
+    zoo = json.loads((GOLDEN / "zoo.json").read_text())
+    digests = {**json.loads((GOLDEN / "details.json").read_text()),
+               **{f"zoo {case}": digest for case, digest in zoo.items()}}
     for case, (code, out) in runs.items():
         assert code == 0, case
-        if case in details:
-            assert _digest(out) == details[case], case
+        if case in digests:
+            assert _digest(out) == digests[case], case
         else:
             assert out == kets[case], case
 

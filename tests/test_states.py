@@ -427,6 +427,47 @@ def test_sample_product_terms_are_tensor_products_of_random_pure_states_to_the_b
                         assert term.amplitudes.tobytes() == term0.amplitudes.tobytes()
 
 
+def _terms_placed_block_by_block(n, k, n_terms, seeds):
+    """The draws of _product_terms, each block normalized on its own and placed by tensor_product."""
+    terms = []
+    for w, part, z in states_mod._term_draws(n, k, n_terms, seeds):
+        blocks, at = [], 0
+        for b in part:  # its d real normals, then its d imaginary ones
+            d = 2 ** len(b)
+            amps = 1j * z[at + d:at + 2 * d] + z[at:at + d]
+            re, im = amps.real, amps.imag  # the norm rule of np.linalg.norm
+            blocks.append(PureState(len(b), amps / np.sqrt(re.dot(re) + im.dot(im))))
+            at += 2 * d
+        terms.append((w, part, tensor_product(blocks, PartitionSpec(part)).amplitudes))
+    return terms
+
+
+# every n placed by gathers, and the first one past the size cut
+_PLACED_QUBITS = range(1, states_mod._GATHER_AMPLITUDES.bit_length() + 1)
+
+
+@pytest.mark.parametrize("gather_amplitudes", [states_mod._GATHER_AMPLITUDES, 2 ** _PLACED_QUBITS[-1]])
+@pytest.mark.parametrize("n", _PLACED_QUBITS)
+def test_placed_terms_are_tensor_products_of_their_blocks_to_the_bit(n, gather_amplitudes):
+    """Both placements, the gather of a chunk's blocks and _place, give tensor_product's bits.
+
+    With the larger ``gather_amplitudes``, every n here is placed by gathers, past the cut too.
+    """
+    seeds = [(n, i) for i in range(3)]
+    split = []
+    with mock.patch.object(states_mod, "_GATHER_AMPLITUDES", gather_amplitudes):
+        for k in sorted({1, n}):
+            got = list(states_mod._product_terms(n, k, 2, seeds, [None] * 6))
+            want = _terms_placed_block_by_block(n, k, 2, seeds)
+            assert len(got) == len(want) == 6
+            for (w, amps), (w0, part, amps0) in zip(got, want):
+                assert w == w0
+                assert amps.tobytes() == amps0.tobytes()
+                split += [b for b in part if b[-1] - b[0] >= len(b)]
+    assert split or n < 3  # blocks whose qubits are not contiguous were placed
+    states_mod._local_indices.cache_clear()  # the table of a forced n past the cut
+
+
 @pytest.mark.parametrize("n, k, n_terms", [(1, 1, 1), (5, 2, 3), (9, 1, 4), (9, 9, 2)])
 def test_sample_product_terms_validate_each_term_once(n, k, n_terms):
     with _count_validations(PureState) as validations:
@@ -438,10 +479,10 @@ def test_sample_product_terms_validate_each_term_once(n, k, n_terms):
 def test_term_stack_checks_every_term_like_a_pure_state(scale, message):
     draw = states_mod._haar_blocks
 
-    def spoiled(sizes, rng):
-        blocks = draw(sizes, rng)
-        blocks[-1] = blocks[-1] * scale
-        return blocks
+    def spoiled(z, dims):
+        amps, starts = draw(z, dims)
+        amps[starts[-1]:starts[-1] + dims[-1]] *= scale  # the last block drawn
+        return amps, starts
 
     def refuse(amps):
         raise AssertionError("term profiles were taken before the stack was checked")
