@@ -509,8 +509,10 @@ def _partition_blocks(n, k, rng):
 
 # Terms of at most this many amplitudes are placed by one gather and one product
 # each, larger ones by _place.  The gather's work grows with the block count and
-# _place's does not: per term, 32 against 68 us at n = 10, 82 against 76 us at
-# n = 11 (the crossover; one BLAS thread, 2-CPU x86-64 host, numpy 2.4).
+# _place's does not.  Per zoo-shaped term, gather against _place: 39 against 67 us
+# at n = 10, 79 against 98 us at n = 11, 159 against 146 us at n = 12 (one BLAS
+# thread, 2-CPU x86-64 host, numpy 2.4).  The cut stays at n = 10, where the table
+# of _local_indices holds 2 MiB; at n = 11 it would hold 8 MiB to save a fifth.
 _GATHER_AMPLITUDES = 1 << 10
 
 
@@ -520,15 +522,15 @@ def _local_indices(n):
 
     The qubits of mask m are those of its set bits, qubit 1 the most
     significant; the block's index reads x's bits on them in that order.
+    Built a top qubit at a time: outside the mask it changes no entry, and
+    inside it puts x's bit on it above the mask's other bits.
     """
-    x = np.arange(_dim(n))
-    mask = x[:, None]
-    table = np.zeros((_dim(n), _dim(n)), dtype=np.intp)
-    for shift in range(n - 1, -1, -1):
-        on = (mask >> shift) & 1
-        table <<= on
-        table |= (x >> shift) & on
-    return table.astype(np.min_scalar_type(_dim(n) - 1))  # 2 MiB at n = 10
+    dtype = np.min_scalar_type(_dim(n) - 1)
+    table, weight = np.zeros((1, 1), dtype), np.ones(1, dtype=np.intp)  # 2^(bits of mask)
+    for _ in range(n):
+        table = np.block([[table, table], [table, (table + weight[:, None]).astype(dtype)]])
+        weight = np.concatenate([weight, 2 * weight])
+    return table
 
 
 def _term_draws(n, k, n_terms, seeds):
