@@ -398,7 +398,7 @@ def _haar_blocks(z, dims):
     for i, a in zip(order, at):
         starts[i] = a
     counts = np.array(sizes)
-    if len(dims) == 1:  # one block: its halves are views of z
+    if len(dims) == 1:  # its halves are views of z: random_pure_state makes no index array
         re, im = z[:at[1]], z[at[1]:]
     else:
         z_at = list(accumulate(dims, initial=0))  # block i's normals start at 2 * z_at[i]
@@ -414,8 +414,8 @@ def _haar_blocks(z, dims):
         v = parts[:, a:b].reshape(2, -1, 1, d)
         dots.append(v @ v.swapaxes(2, 3))
         a = b
-    re, im = np.concatenate(dots, axis=1).reshape(2, -1)
-    amps /= np.repeat(np.sqrt(re + im), counts)
+    re_dots, im_dots = np.concatenate(dots, axis=1).reshape(2, -1)
+    amps /= np.repeat(np.sqrt(re_dots + im_dots), counts)
     return amps, starts
 
 
@@ -526,7 +526,7 @@ def _local_indices(n):
     inside it puts x's bit on it above the mask's other bits.
     """
     dtype = np.min_scalar_type(_dim(n) - 1)
-    table, weight = np.zeros((1, 1), dtype), np.ones(1, dtype=np.intp)  # 2^(bits of mask)
+    table, weight = np.zeros((1, 1), dtype), np.ones(1, dtype=np.intp)  # 2^(qubits of mask)
     for _ in range(n):
         table = np.block([[table, table], [table, (table + weight[:, None]).astype(dtype)]])
         weight = np.concatenate([weight, 2 * weight])
@@ -564,6 +564,7 @@ def _product_terms(n, k, n_terms, seeds, rows):
     while batch := list(islice(draws, None if gather else 1)):
         qubits = [b for _, part, _ in batch for b in part]
         dims = [1 << len(b) for b in qubits]
+        # a lone term's normals are used as they are, not copied
         z = batch[0][2] if len(batch) == 1 else np.concatenate([normals for *_, normals in batch])
         flat, starts = _haar_blocks(z, dims)
         if gather:
