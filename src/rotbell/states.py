@@ -530,6 +530,7 @@ def _local_indices(n):
     for _ in range(n):
         table = np.block([[table, table], [table, (table + weight[:, None]).astype(dtype)]])
         weight = np.concatenate([weight, 2 * weight])
+    table.setflags(write=False)  # the cache hands the same table to every caller
     return table
 
 
