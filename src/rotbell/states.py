@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -384,12 +384,12 @@ def _haar_blocks(z, dims):
     part.  Returns one flat array of every block's amplitudes and the
     position of each block in it; blocks of one size sit side by side, in
     their order in ``dims``, the smallest size first.  The amplitudes
-    ``z_re + 1j * z_im`` are built, and divided by their block's norm, over
-    the whole flat array at once.  The norm is taken per block by the rule
-    of ``np.linalg.norm`` for a complex vector without its per-call checks:
-    a dot of the block's ``.real`` view with itself plus one of its
-    ``.imag`` view.  One ``matmul`` of vector stacks makes those dots for
-    all the blocks of one size; it calls the same strided dot per block.
+    ``z_re + 1j * z_im`` are built over the whole flat array at once.  Each
+    block is divided by its norm, taken by the rule of ``np.linalg.norm``
+    for a complex vector without its per-call checks: a dot of the block's
+    ``.real`` view with itself plus one of its ``.imag`` view.  For all the
+    blocks of one size, one ``matmul`` of vector stacks makes those dots (it
+    calls the same strided dot per block) and one division applies them.
     """
     order = sorted(range(len(dims)), key=dims.__getitem__)  # stable
     sizes = [dims[i] for i in order]
@@ -397,25 +397,25 @@ def _haar_blocks(z, dims):
     starts = [0] * len(dims)
     for i, a in zip(order, at):
         starts[i] = a
-    counts = np.array(sizes)
     if len(dims) == 1:  # its halves are views of z: random_pure_state makes no index array
         re, im = z[:at[1]], z[at[1]:]
     else:
         z_at = list(accumulate(dims, initial=0))  # block i's normals start at 2 * z_at[i]
+        counts = np.array(sizes)
         src = np.repeat(np.array([2 * z_at[i] - a for i, a in zip(order, at)]), counts)
         src += np.arange(at[-1])  # the position in z of every real normal
         re, im = z[src], z[src + np.repeat(counts, counts)]
     amps = 1j * im
     amps += re  # in place: the bits of z_re + 1j * z_im, without a third array
     parts = amps.view(float).reshape(-1, 2).T  # the .real and .imag views, as two rows
-    dots, a = [], 0
+    a = 0
     for d, same in groupby(sizes):
         b = a + d * len(list(same))
         v = parts[:, a:b].reshape(2, -1, 1, d)
-        dots.append(v @ v.swapaxes(2, 3))
+        re_dots, im_dots = (v @ v.swapaxes(2, 3)).reshape(2, -1, 1)
+        blocks = amps[a:b].reshape(-1, d)
+        blocks /= np.sqrt(re_dots + im_dots)
         a = b
-    re_dots, im_dots = np.concatenate(dots, axis=1).reshape(2, -1)
-    amps /= np.repeat(np.sqrt(re_dots + im_dots), counts)
     return amps, starts
 
 
@@ -556,34 +556,35 @@ def _product_terms(n, k, n_terms, seeds, rows):
     amplitudes are all drawn first, and ``_haar_blocks`` builds the blocks of
     all of them as one flat array.  Each term is then one gather of its
     blocks' entries, a (k, 2^n) stack, and one product over the blocks.
-    Larger terms are drawn, built and placed one at a time, by ``_place``.
+    Larger terms are drawn and placed one at a time by ``_place``, each of
+    their blocks built on its own, so that no index array over their
+    amplitudes is made.
     """
     draws = _term_draws(n, k, n_terms, seeds)
     rows = iter(rows)
-    gather = _dim(n) <= _GATHER_AMPLITUDES
+    if _dim(n) > _GATHER_AMPLITUDES:
+        for (w, part, z), row in zip(draws, rows):
+            dims = [1 << len(b) for b in part]
+            blocks = [_haar_blocks(z[2 * a:2 * (a + d)], [d])[0]
+                      for a, d in zip(accumulate(dims, initial=0), dims)]
+            yield w, _place(blocks, part, n, row)
+        return
+    draws = list(draws)
+    qubits = [b for _, part, _ in draws for b in part]
+    flat, starts = _haar_blocks(np.concatenate([z for *_, z in draws]), [1 << len(b) for b in qubits])
     bit = [1 << n - q for q in range(n + 1)]  # qubit q's bit of a joint index
-    while batch := list(islice(draws, None if gather else 1)):
-        qubits = [b for _, part, _ in batch for b in part]
-        dims = [1 << len(b) for b in qubits]
-        # a lone term's normals are used as they are, not copied
-        z = batch[0][2] if len(batch) == 1 else np.concatenate([normals for *_, normals in batch])
-        flat, starts = _haar_blocks(z, dims)
-        if gather:
-            local = _local_indices(n)
-            masks = np.array([sum(map(bit.__getitem__, b)) for b in qubits])
-            starts = np.array(starts)[:, None]
-        a = 0
-        for (w, part, _), row in zip(batch, rows):
-            b = a + len(part)
-            if gather:
-                # The stack is C-contiguous and multiplied by reduce along axis 0:
-                # block by block, in block order, as _place's chain of outer
-                # products.  reduceat, or an F-ordered stack, rounds differently.
-                stack = flat[local[masks[a:b]] + starts[a:b]]
-                yield w, np.multiply.reduce(stack, axis=0, out=row)
-            else:
-                yield w, _place([flat[s:s + d] for s, d in zip(starts, dims)], part, n, row)
-            a = b
+    masks = np.array([sum(map(bit.__getitem__, b)) for b in qubits])
+    starts = np.array(starts)[:, None]
+    local = _local_indices(n)
+    a = 0
+    for (w, part, _), row in zip(draws, rows):
+        b = a + len(part)
+        # The stack is C-contiguous and multiplied by reduce along axis 0: block by
+        # block, in block order, as _place's chain of outer products.  reduceat, or
+        # an F-ordered stack, rounds differently.
+        stack = flat[local[masks[a:b]] + starts[a:b]]
+        yield w, np.multiply.reduce(stack, axis=0, out=row)
+        a = b
 
 
 def sample_product_terms(n, k, n_terms, rng_seed):
