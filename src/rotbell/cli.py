@@ -21,7 +21,7 @@ from types import GeneratorType
 
 import numpy as np
 
-from .correlation import AntidiagonalProfile, antidiagonal_profile, correlation_tensor
+from .correlation import antidiagonal_profile, correlation_tensor
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
 from .separability import _mixture_profiles
 from .states import (
@@ -39,7 +39,7 @@ from .states import (
     state_from_json,
     tensor_product,
 )
-from .witness import classify, k_sep_threshold
+from .witness import _classify, classify, k_sep_threshold
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -297,7 +297,7 @@ def _load_state(args):
         source = args.input
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the parser's stack
         raise ValueError(f"input is not valid JSON: {exc}") from exc
     return state_from_json(obj), {"source": source}
 
@@ -432,11 +432,13 @@ def cmd_sweep(args):
     if not 2 <= args.steps <= _MAX_SWEEP_STEPS:
         raise ValueError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {args.steps}")
     state, _meta = _load_state(args)
-    # white noise maps the antidiagonal to V * rho_ad + 0: each step rescales the profile
+    # White noise maps the antidiagonal to V * rho_ad + 0: each step rescales the stored
+    # values.  The profile is checked once, here; since 0 <= V <= 1, no rounded part of
+    # V * x is larger in magnitude than x's, so every step is finite and within the 1/2 bound.
     prof = antidiagonal_profile(state)
     rows = []
     for v in np.linspace(args.vmin, args.vmax, args.steps):
-        rep = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values, prof.index))
+        rep = _classify(prof.n_qubits, v * prof.values)
         rows.append([float(v), rep.r, rep.lhv_violated, rep.min_excluded_separability])
     _emit(args.format, *_table(_SWEEP_COLUMNS, rows))
     return EXIT_OK
@@ -467,7 +469,7 @@ def cmd_zoo(args):
             sampled = within = None
             if args.samples > 0:
                 seeds = ((args.seed, n, k, i) for i in range(args.samples))
-                sampled = max(classify(p).r for p in _mixture_profiles(n, k, 2, seeds))
+                sampled = max(_classify(n, row).r for row in _mixture_profiles(n, k, 2, seeds))
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
     _emit(args.format, *_table(_ZOO_COLUMNS, rows))

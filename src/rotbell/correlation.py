@@ -350,20 +350,21 @@ def correlation_value_from_tensor(tensor, angles):
     return _check_angles(angles, tensor.n_qubits, values_at)
 
 
-def _closed_forms(prof):
+def _closed_forms(n, values):
     """``(E_max, ||E||^2) = (2 sum |rho_ad|, 2 (2 pi)^N sum |rho_ad|^2)``: the one sum rule.
 
-    Both sums run over the nonzero moduli in index order, so a sparse profile
-    and the dense profile of the same state, which store the same nonzero
-    elements, give the same bits.  The moduli are taken once into one array,
-    which is squared in place; a profile without exact zeros is not copied by
-    the mask.
+    Reads only the stored ``values`` of an N-qubit profile, never their
+    positions: both sums run over the nonzero moduli in storage order, so a
+    sparse profile and the dense profile of the same state, which store the
+    same nonzero elements in index order, give the same bits.  The moduli are
+    taken once into one array, which is squared in place; values without
+    exact zeros are not copied by the mask.  Nothing is checked here.
     """
-    mod = np.abs(prof.values)
+    mod = np.abs(values)
     if np.count_nonzero(mod) < mod.size:
         mod = mod[mod != 0.0]
     em = float(2.0 * mod.sum())
-    return em, float(2.0 * (2.0 * np.pi) ** prof.n_qubits * np.square(mod, out=mod).sum())
+    return em, float(2.0 * (2.0 * np.pi) ** n * np.square(mod, out=mod).sum())
 
 
 def e_max(state):
@@ -372,7 +373,8 @@ def e_max(state):
     Always an upper bound; attained for N <= 2 and for product-structured
     profiles (see the module docstring for the generic N >= 3 caveat).
     """
-    return _closed_forms(antidiagonal_profile(state))[0]
+    prof = antidiagonal_profile(state)
+    return _closed_forms(prof.n_qubits, prof.values)[0]
 
 
 def optimal_angles_two_qubit(state):
@@ -396,7 +398,8 @@ def optimal_angles_two_qubit(state):
 
 def norm_squared_antidiagonal(state):
     """||E||^2 = 2 (2 pi)^N sum |rho_ad|^2 over the [0, 2pi)^N angle hypercube."""
-    return _closed_forms(antidiagonal_profile(state))[1]
+    prof = antidiagonal_profile(state)
+    return _closed_forms(prof.n_qubits, prof.values)[1]
 
 
 def norm_squared_tensor(tensor):

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .correlation import ANTIDIAG_BOUND_TOL, AntidiagonalProfile, antidiagonal_profile
+from .correlation import ANTIDIAG_BOUND_TOL, antidiagonal_profile
 from .correlation import _check_profile_bound, _pure_profile
 from .states import PartitionSpec, _check_finite, _check_k, _check_sampler, _check_unit_norm, _dim
 from .states import _is_count, _partition_blocks, _product_terms, _stirling_rows
@@ -94,21 +94,25 @@ _STACK_AMPLITUDES = 1 << 18
 
 
 def _mixture_profiles(n, k, n_terms, seeds):
-    """Profiles of random k-separable mixtures, one per seed: the one route of ``zoo``'s samples.
+    """Profile rows of random k-separable mixtures, one per seed: ``zoo``'s one sample route.
 
-    The profile for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the weighted
+    The row for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the weighted
     sum of the profiles of the terms of ``sample_product_terms(n, k, n_terms,
-    seed)``, bit for bit.  The arguments are checked before anything is
-    drawn.  ``seeds`` is read lazily, in chunks of as many samples as fit
-    ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms come from one
-    call of ``states._product_terms``: up to n = 10, the blocks of every term
-    of the chunk are built as one flat array and each term is one gather of
-    its blocks' entries and one product, and past that each term is placed
-    on its own by ``tensor_product``'s placement.  They fill one
+    seed)``, bit for bit: the ``values`` of the dense ``AntidiagonalProfile``
+    of that mixture, without the object.  The arguments are checked before
+    anything is drawn.  ``seeds`` is read lazily, in chunks of as many
+    samples as fit ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms come
+    from one call of ``states._product_terms``: up to n = 10, the blocks of
+    every term of the chunk are built as one flat array and each term is one
+    gather of its blocks' entries and one product, and past that each term is
+    placed on its own by ``tensor_product``'s placement.  They fill one
     (samples, n_terms, 2^n) stack, which is checked once by ``PureState``'s
     rules: every amplitude finite, every term of unit norm.  The term
     profiles are taken and checked against the 1/2 bound as one stack, and
-    the amplitudes are dropped before the sums are formed.
+    the amplitudes are dropped before the sums are formed.  The chunk's
+    mixtures are then checked once by the profile constructor's two rules,
+    finite and within the 1/2 bound, so each row may go to
+    ``witness._classify`` as it is.
     """
     n, k = _check_sampler(n, k, n_terms)
     per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
@@ -125,9 +129,10 @@ def _mixture_profiles(n, k, n_terms, seeds):
         _check_profile_bound(terms)
         mixed = sum(w[:, None] * p for w, p in zip(weights.T, terms.swapaxes(0, 1)))
         del terms
-        for vals in mixed:
-            yield AntidiagonalProfile(n, vals)
-        del mixed, vals  # before the next chunk is drawn
+        _check_finite(mixed, "profile")
+        _check_profile_bound(mixed)
+        yield from mixed
+        del mixed  # before the next chunk is drawn
 
 
 def max_antidiagonal_bound(k):

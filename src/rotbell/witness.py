@@ -112,11 +112,26 @@ def classify(state):
     Threshold comparisons are strict and carry no floating-point tolerance;
     the per-rung margins are reported so callers can apply error bars.
     ``min_excluded_separability`` is the smallest k whose rung is exceeded,
-    meaning the state cannot be k-separable for that or any larger k.
+    meaning the state cannot be k-separable for that or any larger k.  The
+    state's profile is checked where it is built (see ``antidiagonal_profile``)
+    and then read by ``_classify``.
     """
     prof = antidiagonal_profile(state)
-    n = prof.n_qubits
-    em, ns = _closed_forms(prof)
+    return _classify(prof.n_qubits, prof.values)
+
+
+def _classify(n, values):
+    """The report of ``classify`` from the stored values of an n-qubit profile, checking nothing.
+
+    Only for values that are already known to pass ``AntidiagonalProfile``'s
+    checks, finite and every modulus at most 1/2, because they are derived
+    from a checked profile in a way that keeps both: ``sweep``'s rows
+    ``V * values`` of a checked profile with 0 <= V <= 1, and ``zoo``'s
+    mixture rows, each chunk of which ``separability._mixture_profiles``
+    checks by the constructor's rules.  Positions never enter (see
+    ``correlation._closed_forms``), so the values of a sparse profile suffice.
+    """
+    em, ns = _closed_forms(n, values)
     r = violation_factor(ns, em, n)
     ladder = _ladder(n)
     rungs = []

@@ -121,6 +121,26 @@ def test_oversize_input_exits_1_before_parsing(source, tmp_path, capsys, monkeyp
         assert stream.tell() == cap + 1  # reading stopped one character past the cap
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("nesting", [("[", "]", 5000), ('{"a":', "}", 5000), ("[", "]", 900)],
+                         ids=["arrays-5000", "objects-5000", "arrays-900"])
+def test_deeply_nested_input_exits_1_with_one_error_line(nesting, source, command, tmp_path,
+                                                         capsys, monkeypatch):
+    # 5,000 levels (10 KB) run the json parser past the interpreter's recursion limit;
+    # 900 levels parse or not by the caller's stack depth, and are refused either way
+    open_, close, depth = nesting
+    payload = open_ * depth + close * depth
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    path = tmp_path / "deep.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, command, "--input", "-" if source == "stdin" else str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if depth > 1000:
+        assert err.startswith("error: input is not valid JSON: maximum recursion depth exceeded")
+
+
 def test_input_cap_admits_indented_state_json_at_the_qubit_caps():
     # the cap allows the same characters per entry at any n; fill every
     # off-diagonal entry with the widest float reprs
@@ -803,14 +823,40 @@ def test_zoo_20_qubits_peaks_no_higher_than_term_by_term_sampling(capsys):
     assert peak <= 60.1 * 2**20
 
 
+@pytest.mark.parametrize("argv, built", [
+    (("sweep", "--ket", "|000>+|111>", "--steps", "101"), [3]),
+    (("sweep", "--input", "dens3.json", "--steps", "101"), [3]),
+    (("zoo", "--nmin", "2", "--nmax", "4", "--samples", "5"), [2, 3, 4]),  # the GHZ column
+], ids=["sweep-ket", "sweep-density", "zoo"])
+def test_each_profile_is_checked_once_where_it_enters(argv, built, tmp_path, monkeypatch, capsys):
+    # sweep's steps and zoo's samples are rows of checked values, not profile objects
+    monkeypatch.chdir(tmp_path)
+    dens3 = random_density_matrix(3, np.random.default_rng(5))
+    Path("dens3.json").write_text(json.dumps(state_to_json(dens3)))
+    check = correlation_mod.AntidiagonalProfile.__post_init__
+    checked = []
+
+    def counted(self):
+        checked.append(self.n_qubits)
+        check(self)
+
+    monkeypatch.setattr(correlation_mod.AntidiagonalProfile, "__post_init__", counted)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out
+    assert checked == built
+
+
 def test_zoo_checks_each_stack_of_term_profiles_against_the_half_bound(capsys, monkeypatch):
     profile = correlation_mod._pure_profile
+    check_finite = separability_mod._check_finite
 
-    def refuse(*args):
-        raise AssertionError("a mixture was formed before its terms were checked")
+    def refuse(arr, what):
+        if what == "profile":  # the first step that reads a mixture: its chunk's check
+            raise AssertionError("a mixture was formed before its terms were checked")
+        check_finite(arr, what)
 
     monkeypatch.setattr(separability_mod, "_pure_profile", lambda amps: 100.0 * profile(amps))
-    monkeypatch.setattr(separability_mod, "AntidiagonalProfile", refuse)
+    monkeypatch.setattr(separability_mod, "_check_finite", refuse)
     code, out, err = run_cli(capsys, "zoo", "--nmin", "2", "--nmax", "2", "--samples", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: antidiagonal modulus ") and err.endswith(" exceeds the 1/2 bound\n")
@@ -987,10 +1033,13 @@ json.dump(runs, sys.stdout)
 
 def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
     # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
-    # for another host.  The json goldens of analyze --ket, the --details digests and
-    # the zoo digests must not move: no field of theirs depends on the kernel's
-    # roundoff, and zoo's term norms are BLAS dots.
-    monkeypatch.chdir(tmp_path)
+    # for another host.  The json goldens of analyze --ket, the --details digests,
+    # the zoo digests and every sweep golden must not move: no field of theirs
+    # depends on the kernel's roundoff, and zoo's term norms, the ket parser's norm
+    # and the unit-norm check are BLAS dots.
+    monkeypatch.chdir(tmp_path)  # the child runs here too, and reads the density file here
+    dens3 = random_density_matrix(3, np.random.default_rng(5))
+    Path("dens3.json").write_text(json.dumps(state_to_json(dens3)))
     argvs = {
         **{f"{case} json": ["analyze", "--ket", ket, "--details", "--format", "json"]
            for case, ket in _GOLDEN_KETS.items()},
@@ -999,13 +1048,17 @@ def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
         **{case: _details_argv(case) for case in _DETAILS_CASES},
         **{f"zoo {case} {fmt}": ["zoo", *argv, "--format", fmt]
            for case, argv in _ZOO_DIGEST_CASES.items() for fmt in ("csv", "json")},
+        **{f"{case} {fmt}": [a.format(dens3="dens3.json") for a in argv] + ["--format", fmt]
+           for case, argv in _GOLDEN_CASES.items() if case.startswith("sweep-")
+           for fmt in ("json", "csv", "text")},
     }
     proc = subprocess.run([sys.executable, "-c", _CHILD_RUNS], input=json.dumps(argvs),
                           env=_child_env(OPENBLAS_CORETYPE="Prescott"), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    kets = json.loads((GOLDEN / "analyze_ket.json").read_text())
+    texts = {**json.loads((GOLDEN / "analyze_ket.json").read_text()),
+             **json.loads((GOLDEN / "sweep_zoo.json").read_text())}
     zoo = json.loads((GOLDEN / "zoo.json").read_text())
     digests = {**json.loads((GOLDEN / "details.json").read_text()),
                **{f"zoo {case}": digest for case, digest in zoo.items()}}
@@ -1014,7 +1067,7 @@ def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
         if case in digests:
             assert _digest(out) == digests[case], case
         else:
-            assert out == kets[case], case
+            assert out == texts[case], case
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from rotbell.states import (
     sample_product_terms,
     tensor_product,
 )
-from rotbell.witness import classify
+from rotbell.witness import _classify, classify
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -76,6 +76,42 @@ def test_white_noise_scales_the_profile_exactly(rho, v):
     assert scaled.r == pytest.approx(v * classify(rho).r, rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def checked_profiles(draw):
+    """A dense (N <= 8) or sparse (N <= 63) profile with exact zeros, at times subnormal."""
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        index, size = None, 1 << (n - 1)
+    else:
+        n = draw(st.integers(1, 63))
+        index = sorted(draw(st.sets(st.integers(0, (1 << (n - 1)) - 1), max_size=8)))
+        size = len(index)
+    moduli = rng.uniform(0.0, 0.5, size) * (rng.random(size) < draw(st.floats(0.0, 1.0)))
+    moduli *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e-318, 5e-324]))
+    return AntidiagonalProfile(n, moduli * np.exp(2j * np.pi * rng.random(size)), index)
+
+
+def _bits(report):
+    """Every field of a report, each float as its float64 bytes."""
+    def leaf(x):
+        return np.float64(x).tobytes() if isinstance(x, float) else x
+    fields = report.to_dict()
+    fields["thresholds"] = [{k: leaf(v) for k, v in t.items()} for t in fields["thresholds"]]
+    return {k: leaf(v) for k, v in fields.items()}
+
+
+@SETTINGS
+@given(checked_profiles(), st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)))
+def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, v):
+    """``sweep``'s steps, ``V * values`` of a checked profile, give the object route's report."""
+    v = np.float64(v)  # a step of np.linspace, as sweep multiplies it
+    fast = _classify(prof.n_qubits, v * prof.values)
+    slow = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values, prof.index))
+    assert _bits(fast) == _bits(slow)
+    assert type(fast.n_qubits) is type(slow.n_qubits) is int
+
+
 @SETTINGS
 @given(st.data(), st.integers(1, 6), seeds)
 def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
@@ -83,7 +119,7 @@ def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
     rng_seed = (seed, n, k, data.draw(st.integers(0, 50)))
     dense = antidiagonal_profile(sample_k_separable(n, k, n_terms=2, rng_seed=rng_seed))
     [summed] = _mixture_profiles(n, k, 2, [rng_seed])
-    assert summed.values.tobytes() == dense.values.tobytes()
+    assert summed.tobytes() == dense.values.tobytes()
 
 
 @SETTINGS
@@ -95,11 +131,11 @@ def test_zoo_row_stacks_are_the_term_by_term_mixtures(n, seed, samples, per_stac
         with mock.patch.object(separability_mod, "_STACK_AMPLITUDES", per_stack * n_terms << n):
             stacked = list(_mixture_profiles(n, k, n_terms, row))
         assert len(stacked) == samples
-        for prof, rng_seed in zip(stacked, row):
+        for values, rng_seed in zip(stacked, row):
             terms = sample_product_terms(n, k, n_terms, rng_seed)
             want = sum(w * antidiagonal_profile(t).values for w, t in terms)  # 0 + w_1 P_1 + ...
-            assert prof.values.tobytes() == want.tobytes()
-            r, r0 = classify(prof).r, classify(AntidiagonalProfile(n, want)).r
+            assert values.tobytes() == want.tobytes()
+            r, r0 = _classify(n, values).r, classify(AntidiagonalProfile(n, want)).r
             assert np.float64(r).tobytes() == np.float64(r0).tobytes()
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotbell.correlation import AntidiagonalProfile
+import rotbell.separability as separability_mod
+from rotbell.correlation import AntidiagonalProfile, antidiagonal_profile
 from rotbell.oracle import GridSearchConfig, maximize_grid, norm_squared_quadrature
 from rotbell.separability import (
     _mixture_profiles,
@@ -136,6 +137,25 @@ def test_one_count_rule_for_n_and_k(bad):
     for call in refused:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("spoil", [np.nan, 1e3], ids=["nan", "over-the-bound"])
+def test_a_spoiled_mixture_chunk_is_refused_with_the_constructors_message(spoil, monkeypatch):
+    # the terms pass their checks and only the weights spoil the mixture, which
+    # no object checks any more: its chunk is refused as AntidiagonalProfile would
+    draw = separability_mod._product_terms
+
+    def spoiled(*args):
+        return ((spoil * w, amps) for w, amps in draw(*args))
+
+    monkeypatch.setattr(separability_mod, "_product_terms", spoiled)
+    with pytest.raises(ValueError) as refused:
+        next(_mixture_profiles(3, 1, 2, [0]))
+    row = sum(spoil * w * antidiagonal_profile(t).values
+              for w, t in sample_product_terms(3, 1, 2, rng_seed=0))
+    with pytest.raises(ValueError) as constructed:
+        AntidiagonalProfile(3, row)
+    assert str(refused.value) == str(constructed.value)
 
 
 def test_numpy_integer_counts_are_accepted():
