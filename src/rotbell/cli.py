@@ -23,7 +23,7 @@ import numpy as np
 
 from .correlation import antidiagonal_profile, correlation_tensor
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
-from .separability import _mixture_profiles
+from .separability import _STACK_AMPLITUDES, _mixture_profiles
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
@@ -39,7 +39,7 @@ from .states import (
     state_from_json,
     tensor_product,
 )
-from .witness import _classify, classify, k_sep_threshold
+from .witness import _witness, classify, k_sep_threshold
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -436,12 +436,23 @@ def cmd_sweep(args):
     # values.  The profile is checked once, here; since 0 <= V <= 1, no rounded part of
     # V * x is larger in magnitude than x's, so every step is finite and within the 1/2 bound.
     prof = antidiagonal_profile(state)
-    rows = []
-    for v in np.linspace(args.vmin, args.vmax, args.steps):
-        rep = _classify(prof.n_qubits, v * prof.values)
-        rows.append([float(v), rep.r, rep.lhv_violated, rep.min_excluded_separability])
-    _emit(args.format, *_table(_SWEEP_COLUMNS, rows))
+    visibilities = np.linspace(args.vmin, args.vmax, args.steps)
+    _emit(args.format, *_table(_SWEEP_COLUMNS, list(_sweep_rows(prof, visibilities))))
     return EXIT_OK
+
+
+def _sweep_rows(prof, visibilities):
+    """``(V, r, lhv_violated, min_excluded_separability)`` of ``V * prof.values`` for each V.
+
+    The rows ``V * values`` are scaled and classified as stacks of at most
+    ``_STACK_AMPLITUDES`` values (at least one row), one ``_witness`` call a
+    stack.
+    """
+    per = max(1, _STACK_AMPLITUDES // max(1, prof.values.size))
+    for i in range(0, len(visibilities), per):
+        vs = visibilities[i:i + per]
+        w = _witness(prof.n_qubits, vs[:, None] * prof.values)
+        yield from zip(vs.tolist(), w.r, w.lhv_violated, w.min_excluded_separability)
 
 
 _ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),
@@ -469,7 +480,8 @@ def cmd_zoo(args):
             sampled = within = None
             if args.samples > 0:
                 seeds = ((args.seed, n, k, i) for i in range(args.samples))
-                sampled = max(_classify(n, row).r for row in _mixture_profiles(n, k, 2, seeds))
+                chunks = _mixture_profiles(n, k, 2, seeds)
+                sampled = max(max(_witness(n, rows).r) for rows in chunks)
                 within = sampled <= thr + 1e-9
             rows.append([n, k, ghz_r, thr, ratio, sampled, within])
     _emit(args.format, *_table(_ZOO_COLUMNS, rows))

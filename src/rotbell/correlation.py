@@ -350,21 +350,36 @@ def correlation_value_from_tensor(tensor, angles):
     return _check_angles(angles, tensor.n_qubits, values_at)
 
 
-def _closed_forms(n, values):
-    """``(E_max, ||E||^2) = (2 sum |rho_ad|, 2 (2 pi)^N sum |rho_ad|^2)``: the one sum rule.
+def _closed_forms(n, rows):
+    """Each row's ``(E_max, ||E||^2) = (2 sum |rho_ad|, 2 (2 pi)^N sum |rho_ad|^2)``: the sum rule.
 
-    Reads only the stored ``values`` of an N-qubit profile, never their
-    positions: both sums run over the nonzero moduli in storage order, so a
-    sparse profile and the dense profile of the same state, which store the
-    same nonzero elements in index order, give the same bits.  The moduli are
-    taken once into one array, which is squared in place; values without
-    exact zeros are not copied by the mask.  Nothing is checked here.
+    ``rows`` is a C-ordered (R, m) stack of the stored values of N-qubit
+    profiles, one profile a row; positions are never read.  Each row's sums
+    run over its nonzero moduli in storage order, so a sparse profile and the
+    dense profile of the same state, which store the same nonzero elements in
+    index order, give the same bits.  The moduli are taken once into one
+    C-ordered array, which is squared in place, and each row is summed along
+    the last axis, contiguous in memory, by the same pairwise rule numpy uses
+    on a 1-D array; in any other layout numpy may group the sums differently.
+    Columns that are zero in every row are dropped once, which is every row's
+    own mask when its zeros are exactly those columns; a row with a further
+    exact zero (V = 0, or a ``V * x`` that underflows) is summed on its own as
+    a one-row stack, because its mask changes the pairwise grouping.  Returns
+    the lists of each row's E_max and ||E||^2, as Python floats, and of the
+    rows summed on their own.  Nothing is checked here.
     """
-    mod = np.abs(values)
-    if np.count_nonzero(mod) < mod.size:
-        mod = mod[mod != 0.0]
-    em = float(2.0 * mod.sum())
-    return em, float(2.0 * (2.0 * np.pi) ** n * np.square(mod, out=mod).sum())
+    mod = np.abs(rows)
+    single = []
+    if np.count_nonzero(mod) < mod.size:  # drop the columns zero in every row, then find the rest
+        mod = mod.compress(mod.any(axis=0), axis=1)  # a new C-ordered array
+        if len(mod) > 1:  # a lone row has no zero left
+            single = np.flatnonzero(~mod.all(axis=1)).tolist()
+    em = [2.0 * x for x in mod.sum(axis=-1).tolist()]
+    scale = 2.0 * (2.0 * np.pi) ** n
+    ns = [scale * x for x in np.square(mod, out=mod).sum(axis=-1).tolist()]
+    for i in single:
+        [em[i]], [ns[i]], _ = _closed_forms(n, rows[i:i + 1])
+    return em, ns, single
 
 
 def e_max(state):
@@ -374,7 +389,7 @@ def e_max(state):
     profiles (see the module docstring for the generic N >= 3 caveat).
     """
     prof = antidiagonal_profile(state)
-    return _closed_forms(prof.n_qubits, prof.values)[0]
+    return _closed_forms(prof.n_qubits, prof.values[None])[0][0]
 
 
 def optimal_angles_two_qubit(state):
@@ -399,7 +414,7 @@ def optimal_angles_two_qubit(state):
 def norm_squared_antidiagonal(state):
     """||E||^2 = 2 (2 pi)^N sum |rho_ad|^2 over the [0, 2pi)^N angle hypercube."""
     prof = antidiagonal_profile(state)
-    return _closed_forms(prof.n_qubits, prof.values)[1]
+    return _closed_forms(prof.n_qubits, prof.values[None])[1][0]
 
 
 def norm_squared_tensor(tensor):

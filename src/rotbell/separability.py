@@ -94,14 +94,16 @@ _STACK_AMPLITUDES = 1 << 18
 
 
 def _mixture_profiles(n, k, n_terms, seeds):
-    """Profile rows of random k-separable mixtures, one per seed: ``zoo``'s one sample route.
+    """Chunks of profile rows of random k-separable mixtures: ``zoo``'s one sample route.
 
-    The row for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the weighted
-    sum of the profiles of the terms of ``sample_product_terms(n, k, n_terms,
-    seed)``, bit for bit: the ``values`` of the dense ``AntidiagonalProfile``
-    of that mixture, without the object.  The arguments are checked before
-    anything is drawn.  ``seeds`` is read lazily, in chunks of as many
-    samples as fit ``_STACK_AMPLITUDES`` (at least one).  A chunk's terms come
+    Yields one (samples, 2^(n-1)) stack per chunk, a row per seed in seed
+    order.  The row for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the
+    weighted sum of the profiles of the terms of ``sample_product_terms(n,
+    k, n_terms, seed)``, bit for bit: the ``values`` of the dense
+    ``AntidiagonalProfile`` of that mixture, without the object.  The
+    arguments are checked before anything is drawn.  ``seeds`` is read
+    lazily, in chunks of as many samples as fit ``_STACK_AMPLITUDES`` (at
+    least one).  A chunk's terms come
     from one call of ``states._product_terms``: up to n = 10, the blocks of
     every term of the chunk are built as one flat array and each term is one
     gather of its blocks' entries and one product, and past that each term is
@@ -111,8 +113,8 @@ def _mixture_profiles(n, k, n_terms, seeds):
     profiles are taken and checked against the 1/2 bound as one stack, and
     the amplitudes are dropped before the sums are formed.  The chunk's
     mixtures are then checked once by the profile constructor's two rules,
-    finite and within the 1/2 bound, so each row may go to
-    ``witness._classify`` as it is.
+    finite and within the 1/2 bound, so each chunk may go to
+    ``witness._witness`` as it is.
     """
     n, k = _check_sampler(n, k, n_terms)
     per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
@@ -131,7 +133,7 @@ def _mixture_profiles(n, k, n_terms, seeds):
         del terms
         _check_finite(mixed, "profile")
         _check_profile_bound(mixed)
-        yield from mixed
+        yield mixed
         del mixed  # before the next chunk is drawn
 
 

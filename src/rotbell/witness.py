@@ -11,9 +11,12 @@ threshold excludes nothing, so reports say "not excluded", never
 
 from __future__ import annotations
 
+import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,8 @@ __all__ = [
     "critical_visibility",
     "classify",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -114,41 +119,57 @@ def classify(state):
     ``min_excluded_separability`` is the smallest k whose rung is exceeded,
     meaning the state cannot be k-separable for that or any larger k.  The
     state's profile is checked where it is built (see ``antidiagonal_profile``)
-    and then read by ``_classify``.
+    and then read as the one-row stack of ``_witness``.
     """
     prof = antidiagonal_profile(state)
-    return _classify(prof.n_qubits, prof.values)
-
-
-def _classify(n, values):
-    """The report of ``classify`` from the stored values of an n-qubit profile, checking nothing.
-
-    Only for values that are already known to pass ``AntidiagonalProfile``'s
-    checks, finite and every modulus at most 1/2, because they are derived
-    from a checked profile in a way that keeps both: ``sweep``'s rows
-    ``V * values`` of a checked profile with 0 <= V <= 1, and ``zoo``'s
-    mixture rows, each chunk of which ``separability._mixture_profiles``
-    checks by the constructor's rules.  Positions never enter (see
-    ``correlation._closed_forms``), so the values of a sparse profile suffice.
-    """
-    em, ns = _closed_forms(n, values)
-    r = violation_factor(ns, em, n)
+    n = prof.n_qubits
+    [e_max], [norm_squared], [r], [lhv], [min_excluded] = _witness(n, prof.values[None])
     ladder = _ladder(n)
-    rungs = []
-    min_excluded = None
-    for k, thr in enumerate(ladder[1:], start=2):
-        excluded = r > thr
-        if excluded and min_excluded is None:
-            min_excluded = k
-        rungs.append(ThresholdVerdict(k=k, r_k_max=thr, excluded=excluded, margin=r - thr))
+    first = min_excluded or n + 1  # the ladder halves at each rung: all from this one are exceeded
     return WitnessReport(
         n_qubits=n,
-        e_max=em,
-        norm_squared=ns,
+        e_max=e_max,
+        norm_squared=norm_squared,
         r=r,
-        lhv_violated=r > 1.0,
+        lhv_violated=lhv,
         max_possible_r=ladder[0],
-        thresholds=tuple(rungs),
+        thresholds=tuple(ThresholdVerdict(k=k, r_k_max=thr, excluded=k >= first, margin=r - thr)
+                         for k, thr in enumerate(ladder[1:], start=2)),
         min_excluded_separability=min_excluded,
         critical_visibility=critical_visibility(r),
     )
+
+
+class _Rows(NamedTuple):
+    """The witness of each row of a stack: (R,) lists under ``WitnessReport``'s field names."""
+
+    e_max: list
+    norm_squared: list
+    r: list
+    lhv_violated: list
+    min_excluded_separability: list
+
+
+def _witness(n, rows):
+    """The witness of each row of an (R, m) stack of n-qubit profile values, checking nothing.
+
+    Only for values that are already known to pass ``AntidiagonalProfile``'s
+    checks, finite and every modulus at most 1/2, because they are derived
+    from a checked profile in a way that keeps both: ``classify``'s one row,
+    ``sweep``'s rows ``V * values`` of a checked profile with 0 <= V <= 1,
+    and ``zoo``'s mixture rows, each chunk of which
+    ``separability._mixture_profiles`` checks by the constructor's rules.
+    Positions never enter (see ``correlation._closed_forms``), so the values
+    of a sparse profile suffice.  The sums of all rows come from one call of
+    the sum rule; then each row's r is ``violation_factor``'s, and its
+    ``min_excluded_separability`` is the smallest k whose rung of ``_ladder``
+    r strictly exceeds, or None.  Each call writes one debug record to the
+    ``rotbell.witness`` logger: n, the row count and the rows summed on their
+    own.
+    """
+    em, ns, single = _closed_forms(n, rows)
+    _log.debug("witness: n=%d rows=%d one_row=%s", n, len(rows), single)
+    r = [violation_factor(s, e, n) for e, s in zip(em, ns)]
+    rungs = _ladder(n)[:0:-1]  # k = n down to 2, ascending: the ladder halves at each rung
+    below = [bisect_left(rungs, x) for x in r]  # the rungs strictly below r, the last ones
+    return _Rows(em, ns, r, [x > 1.0 for x in r], [n + 1 - b if b else None for b in below])

@@ -17,6 +17,7 @@ import rotbell.cli as cli_mod
 import rotbell.correlation as correlation_mod
 import rotbell.oracle as oracle_mod
 import rotbell.separability as separability_mod
+import rotbell.witness as witness_mod
 from rotbell.cli import main
 from rotbell.oracle import cross_validate
 from rotbell.states import (
@@ -326,6 +327,28 @@ def test_oracle_debug_record_leaves_stdout_alone(capsys, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "maximize_grid: n=3 points_per_axis=24 rounds=4 grid_points=55296 evaluations=55392 "
         "columns_per_round=576 kept_columns=576,576,576,576"]  # GHZ: every |z| ties
+
+
+_UNDERFLOW_KET = "(0.3+0.1i)*|000> + 1e-200*|111> + 0.5*|001> + (0+0.7i)*|110>"
+
+
+def test_witness_debug_record_per_stack_leaves_stdout_alone(capsys, caplog):
+    # the 1e-200 term's element underflows to 0 in the three smallest steps only
+    sweep = ("sweep", "--ket", _UNDERFLOW_KET, "--vmin", "0", "--vmax", "1e-123", "--steps", "5")
+    zoo = ("zoo", "--nmin", "2", "--nmax", "2", "--samples", "3", "--format", "json")
+    fresh = [subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=_child_env(),
+                            capture_output=True, text=True, timeout=120) for argv in (sweep, zoo)]
+    assert [(f.returncode, f.stderr) for f in fresh] == [(0, "")] * 2  # silent by default
+    with caplog.at_level(logging.DEBUG, logger="rotbell.witness"):
+        got = [run_cli(capsys, *argv) for argv in (sweep, zoo)]
+    assert got == [(0, f.stdout, "") for f in fresh]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("rotbell.witness", logging.DEBUG, msg) for msg in (
+            "witness: n=3 rows=5 one_row=[0, 1, 2]",
+            "witness: n=2 rows=1 one_row=[]",  # the GHZ column's classify
+            "witness: n=2 rows=3 one_row=[]",  # k = 1: one chunk of three samples
+            "witness: n=2 rows=3 one_row=[]",  # k = 2
+        )]
 
 
 # ---------------------------------------------------------------------------
@@ -823,27 +846,54 @@ def test_zoo_20_qubits_peaks_no_higher_than_term_by_term_sampling(capsys):
     assert peak <= 60.1 * 2**20
 
 
-@pytest.mark.parametrize("argv, built", [
-    (("sweep", "--ket", "|000>+|111>", "--steps", "101"), [3]),
-    (("sweep", "--input", "dens3.json", "--steps", "101"), [3]),
-    (("zoo", "--nmin", "2", "--nmax", "4", "--samples", "5"), [2, 3, 4]),  # the GHZ column
+def test_sweep_stacks_stay_within_their_chunk_budget(tmp_path, monkeypatch, capsys):
+    # 10,001 steps of a dense N = 10 profile are 20 chunks of up to 512 rows: the one-row
+    # route peaked at 2.66 MiB on this command and one unchunked stack at 157 MiB
+    monkeypatch.chdir(tmp_path)
+    pure10 = random_pure_state(10, np.random.default_rng(43))
+    Path("pure10.json").write_text(json.dumps(state_to_json(pure10)))
+    argv = ("sweep", "--input", "pure10.json", "--steps", "10001", "--format", "csv")
+    run_cli(capsys, *argv[:3], "--steps", "2")  # set-up outside
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 10002
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("argv, built, reported", [
+    (("sweep", "--ket", "|000>+|111>", "--steps", "101"), [3], []),
+    (("sweep", "--input", "dens3.json", "--steps", "101"), [3], []),
+    (("zoo", "--nmin", "2", "--nmax", "4", "--samples", "5"), [2, 3, 4], [2, 3, 4]),  # GHZ column
 ], ids=["sweep-ket", "sweep-density", "zoo"])
-def test_each_profile_is_checked_once_where_it_enters(argv, built, tmp_path, monkeypatch, capsys):
-    # sweep's steps and zoo's samples are rows of checked values, not profile objects
+def test_each_profile_is_checked_once_where_it_enters(argv, built, reported, tmp_path,
+                                                       monkeypatch, capsys):
+    # sweep's steps and zoo's samples are rows of checked values, not profile objects,
+    # and they reach the witness as stacks, with no report per row
     monkeypatch.chdir(tmp_path)
     dens3 = random_density_matrix(3, np.random.default_rng(5))
     Path("dens3.json").write_text(json.dumps(state_to_json(dens3)))
     check = correlation_mod.AntidiagonalProfile.__post_init__
-    checked = []
+    report = witness_mod.WitnessReport
+    checked, reports = [], []
 
     def counted(self):
         checked.append(self.n_qubits)
         check(self)
 
+    def counted_report(**fields):
+        reports.append(fields["n_qubits"])
+        return report(**fields)
+
     monkeypatch.setattr(correlation_mod.AntidiagonalProfile, "__post_init__", counted)
+    monkeypatch.setattr(witness_mod, "WitnessReport", counted_report)
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0 and out
-    assert checked == built
+    assert (checked, reports) == (built, reported)
 
 
 def test_zoo_checks_each_stack_of_term_profiles_against_the_half_bound(capsys, monkeypatch):

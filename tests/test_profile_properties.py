@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rotbell.cli as cli_mod
 import rotbell.separability as separability_mod
 import rotbell.states as states_mod
 from rotbell.correlation import (
@@ -50,7 +51,7 @@ from rotbell.states import (
     sample_product_terms,
     tensor_product,
 )
-from rotbell.witness import _classify, classify
+from rotbell.witness import _witness, classify, k_sep_threshold, violation_factor
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
@@ -89,27 +90,61 @@ def checked_profiles(draw):
         size = len(index)
     moduli = rng.uniform(0.0, 0.5, size) * (rng.random(size) < draw(st.floats(0.0, 1.0)))
     moduli *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e-318, 5e-324]))
+    # some elements far smaller than the rest: a small V underflows them alone
+    moduli[rng.random(size) < draw(st.floats(0.0, 0.5))] *= draw(st.sampled_from([1e-200, 1e-310]))
     return AntidiagonalProfile(n, moduli * np.exp(2j * np.pi * rng.random(size)), index)
 
 
-def _bits(report):
-    """Every field of a report, each float as its float64 bytes."""
-    def leaf(x):
-        return np.float64(x).tobytes() if isinstance(x, float) else x
-    fields = report.to_dict()
-    fields["thresholds"] = [{k: leaf(v) for k, v in t.items()} for t in fields["thresholds"]]
-    return {k: leaf(v) for k, v in fields.items()}
+def _one_row(n, values):
+    """E_max, ||E||^2, r, lhv_violated and min_excluded_separability by the one-row rules.
+
+    The reference for the stacked witness, written out: the nonzero moduli
+    summed as one 1-D array, ``violation_factor`` and the first rung exceeded.
+    """
+    mod = np.abs(values)
+    mod = mod[mod != 0.0]
+    em, ns = float(2.0 * mod.sum()), float(2.0 * (2.0 * np.pi) ** n * np.square(mod).sum())
+    r = violation_factor(ns, em, n)
+    return em, ns, r, r > 1.0, next((k for k in range(2, n + 1) if r > k_sep_threshold(n, k)), None)
+
+
+def _row_bits(r, lhv, min_k):
+    assert (type(r), type(lhv), type(min_k)) in {(float, bool, int), (float, bool, type(None))}
+    return np.float64(r).tobytes(), lhv, min_k
+
+
+def _mixed_steps():
+    """A dense N = 8 profile: two exact zeros, and a third of its moduli near 1e-310."""
+    rng = np.random.default_rng(8)
+    moduli = rng.uniform(0.05, 0.5, 128) * np.where(rng.random(128) < 1 / 3, 1e-310, 1.0)
+    moduli[[5, 77]] = 0.0
+    return AntidiagonalProfile(8, moduli * np.exp(2j * np.pi * rng.random(128)))
 
 
 @SETTINGS
-@given(checked_profiles(), st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)))
-def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, v):
-    """``sweep``'s steps, ``V * values`` of a checked profile, give the object route's report."""
-    v = np.float64(v)  # a step of np.linspace, as sweep multiplies it
-    fast = _classify(prof.n_qubits, v * prof.values)
-    slow = classify(AntidiagonalProfile(prof.n_qubits, v * prof.values, prof.index))
-    assert _bits(fast) == _bits(slow)
-    assert type(fast.n_qubits) is type(slow.n_qubits) is int
+@given(checked_profiles(),
+       st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e-10, 1e-20]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=12),
+       st.integers(1, 64))
+@example(_mixed_steps(), [1.0, 1e-15, 0.0, 0.5, 5e-324, 1e-5, 0.25], 256)  # two rows a chunk
+def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, vs, budget):
+    """``sweep``'s stacked steps ``V * values`` of a checked profile give each row's report.
+
+    The stacks mix full rows, rows of which only some values underflow to 0
+    and all-zero rows, and the chunk budget is small, so that chunk
+    boundaries fall inside the sweep.
+    """
+    n, vs = prof.n_qubits, np.array(vs)  # steps of np.linspace, as sweep multiplies them
+    with mock.patch.object(cli_mod, "_STACK_AMPLITUDES", budget):
+        rows = list(cli_mod._sweep_rows(prof, vs))
+    assert [np.float64(row[0]).tobytes() for row in rows] == [v.tobytes() for v in vs]
+    for (_, *got), v in zip(rows, vs):
+        rep = classify(AntidiagonalProfile(n, v * prof.values, prof.index))
+        em, ns, *ref = _one_row(n, v * prof.values)
+        want = _row_bits(rep.r, rep.lhv_violated, rep.min_excluded_separability)
+        assert _row_bits(*got) == want == _row_bits(*ref)
+        assert np.float64([rep.e_max, rep.norm_squared]).tobytes() == np.float64([em, ns]).tobytes()
+        assert [t.excluded for t in rep.thresholds] == [rep.r > t.r_k_max for t in rep.thresholds]
 
 
 @SETTINGS
@@ -118,7 +153,7 @@ def test_zoo_profile_is_the_dense_mixture_profile(data, n, seed):
     k = data.draw(st.integers(1, n))
     rng_seed = (seed, n, k, data.draw(st.integers(0, 50)))
     dense = antidiagonal_profile(sample_k_separable(n, k, n_terms=2, rng_seed=rng_seed))
-    [summed] = _mixture_profiles(n, k, 2, [rng_seed])
+    [[summed]] = _mixture_profiles(n, k, 2, [rng_seed])
     assert summed.tobytes() == dense.values.tobytes()
 
 
@@ -129,14 +164,17 @@ def test_zoo_row_stacks_are_the_term_by_term_mixtures(n, seed, samples, per_stac
     for k in range(1, n + 1):
         row = [(seed, n, k, i) for i in range(samples)]
         with mock.patch.object(separability_mod, "_STACK_AMPLITUDES", per_stack * n_terms << n):
-            stacked = list(_mixture_profiles(n, k, n_terms, row))
-        assert len(stacked) == samples
-        for values, rng_seed in zip(stacked, row):
+            chunks = list(_mixture_profiles(n, k, n_terms, row))
+        assert [len(c) for c in chunks[:-1]] == [per_stack] * (len(chunks) - 1)
+        stacked = [values for chunk in chunks for values in chunk]
+        rs = np.concatenate([_witness(n, chunk).r for chunk in chunks])
+        assert len(stacked) == len(rs) == samples
+        for values, r, rng_seed in zip(stacked, rs, row):
             terms = sample_product_terms(n, k, n_terms, rng_seed)
             want = sum(w * antidiagonal_profile(t).values for w, t in terms)  # 0 + w_1 P_1 + ...
             assert values.tobytes() == want.tobytes()
-            r, r0 = _classify(n, values).r, classify(AntidiagonalProfile(n, want)).r
-            assert np.float64(r).tobytes() == np.float64(r0).tobytes()
+            r0 = classify(AntidiagonalProfile(n, want)).r
+            assert r.tobytes() == np.float64(r0).tobytes()
 
 
 @st.composite

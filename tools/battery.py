@@ -48,6 +48,8 @@ def _ket(n, terms):
 
 KET24 = _ket(24, [("(0.6+0.2i)", 0), ("(-0.3+0.7i)", (1 << 24) - 1), ("0.5", 5)])
 KET40 = _ket(40, [("1", 0), ("1", (1 << 40) - 1)])
+# its 1e-200 term's profile element underflows to 0 in the smallest steps of a sweep, the other not
+UNDERFLOW = "(0.3+0.1i)*|000> + 1e-200*|111> + 0.5*|001> + (0+0.7i)*|110>"
 
 # name -> text of each input file
 FILES = {
@@ -93,6 +95,10 @@ def commands():
             (["verify", "--seed", "0", *f], None),
             (["verify", "--seed", "1", *f], None),
         ]
+    runs += [
+        (["sweep", "--input", "pure10.json", "--steps", "10001"], None),  # across stack chunks
+        (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
+    ]
     runs += [  # refusals: exit 1 and one error line, or a usage error
         (["nosuch"], None),
         (["analyze"], None),
