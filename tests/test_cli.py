@@ -1,5 +1,5 @@
 import csv
-import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -37,6 +37,10 @@ from rotbell.states import (
 from rotbell.witness import WitnessReport, k_sep_threshold
 
 GOLDEN = Path(__file__).parent / "golden"
+BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
+_spec = importlib.util.spec_from_file_location("_battery", BATTERY)
+battery = importlib.util.module_from_spec(_spec)  # its ket and case tables are the goldens' cases
+_spec.loader.exec_module(battery)
 
 
 def run_cli(capsys, *argv):
@@ -933,27 +937,13 @@ def test_zoo_stacks_stay_within_the_amplitude_budget(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # sweep and zoo output pinned byte for byte
 
-_GOLDEN_CASES = {
-    "sweep-ghz3": ("sweep", "--ket", "|000>+|111>", "--steps", "11"),
-    "sweep-complex": (
-        "sweep", "--ket", "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + 0.5*|0000>",
-        "--vmin", "0.2", "--vmax", "0.9", "--steps", "8",
-    ),
-    "sweep-density": ("sweep", "--input", "{dens3}", "--steps", "6"),
-    "zoo": ("zoo", "--nmin", "2", "--nmax", "4", "--samples", "3", "--seed", "7"),
-    "zoo-n6-7": ("zoo", "--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", "11"),
-    "zoo-n8-10": ("zoo", "--nmin", "8", "--nmax", "10", "--samples", "5", "--seed", "12"),
-    **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
-}
-
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
-def test_sweep_zoo_golden_output(case, fmt, tmp_path, capsys):
-    dens3 = tmp_path / "dens3.json"
-    dens3.write_text(json.dumps(state_to_json(random_density_matrix(3, np.random.default_rng(5)))))
-    argv = [a.format(dens3=dens3) for a in _GOLDEN_CASES[case]]
-    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+@pytest.mark.parametrize("case", sorted(battery.GOLDEN_CASES))
+def test_sweep_zoo_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # sweep-density reads the battery's dens3.json here
+    Path("dens3.json").write_text(battery.FILES["dens3.json"])
+    code, out, _ = run_cli(capsys, *battery.GOLDEN_CASES[case], "--format", fmt)
     golden = json.loads((GOLDEN / "sweep_zoo.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]
@@ -962,46 +952,19 @@ def test_sweep_zoo_golden_output(case, fmt, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # analyze --ket output pinned byte for byte
 
-_GOLDEN_KETS = {
-    "ghz-type": "(0.6+0.2i)*|0000> - 0.8*|1111>",
-    "w": "|001> + |010> + |100>",
-    "complement-closed": (
-        "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + (0.5-0.1i)*|0011> + (-0.2+0.9i)*|1100>"
-    ),
-    "repeated": "|01> + 0.5*|10> + |01> - (0.25+1i)*|10>",
-    "leading-sign": "-|000> + (0.5-0.5i)|111>",
-    "signed-parts": "(1 - -2i)|00> + (-0.5 + +1.5i)*|11>",
-    "scale-huge": "1e200|00>+1e200|11>",
-    "scale-tiny": "1e-170|00>+1e-170|11>",
-}
-
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(_GOLDEN_KETS))
+@pytest.mark.parametrize("case", sorted(battery.GOLDEN_KETS))
 def test_analyze_ket_golden_output(case, fmt, capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--ket", _GOLDEN_KETS[case], "--details", "--format", fmt)
+    ket = battery.GOLDEN_KETS[case]
+    code, out, _ = run_cli(capsys, "analyze", "--ket", ket, "--details", "--format", fmt)
     golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
     assert code == 0
     assert out == golden[f"{case} {fmt}"]
 
 
-def _large_golden_kets(n):
-    """GHZ-type, W-type and 4-pair complement-closed kets on n >= 5 qubits."""
-    full = (1 << n) - 1
-    lo = ["(0.3+0.7i)", "(0.5-0.1i)", "(-0.2+0.9i)", "(1.1+0.4i)"]
-    hi = ["(-1.2+0.4i)", "(0.8+0.3i)", "(0.25-0.6i)", "(-0.7-0.9i)"]
-    xs = [1, 6, 1 << (n - 3), (1 << (n - 2)) | 3]
-    return {
-        "ghz-type": f"(0.6+0.2i)*|{0:0{n}b}> + (-0.3+0.7i)*|{full:0{n}b}>",
-        "w": " + ".join(f"({1 + j % 4}-0.{j % 7 + 1}i)*|{1 << j:0{n}b}>" for j in range(n)),
-        "complement-closed": " + ".join(
-            f"{a}*|{x:0{n}b}> + {b}*|{full ^ x:0{n}b}>" for a, b, x in zip(lo, hi, xs)
-        ),
-    }
-
-
 _GOLDEN_LARGE_KETS = {
-    f"{name}-n{n}": ket for n in (12, 20) for name, ket in _large_golden_kets(n).items()
+    f"{name}-n{n}": ket for n in (12, 20) for name, ket in battery.large_kets(n).items()
 }
 
 
@@ -1015,109 +978,45 @@ def test_analyze_large_ket_golden_output(case, fmt, capsys):
 
 
 # ---------------------------------------------------------------------------
-# analyze --details --format json pinned by digest: at N = 16 one output is
-# about 2.5 MB, so the golden holds its sha256 and byte length
+# every command of tools/battery.py pinned by the digests of its output, on
+# this host and under another OpenBLAS kernel
 
-_DETAILS_FILES = {
-    "haar-pure-n10": lambda: random_pure_state(10, np.random.default_rng((43, 10))),
-    "density-n6": lambda: random_density_matrix(6, np.random.default_rng((47, 6))),
-}
-_DETAILS_CASES = {
-    **{f"{name}-n{n}": ("--ket", ket) for n in (12, 16) for name, ket in _large_golden_kets(n).items()},
-    **{name: ("--input", f"{name}.json") for name in _DETAILS_FILES},
-}
-
-
-def _details_argv(case):
-    """The argv of one digest case; a file case first writes its state into the working directory."""
-    if case in _DETAILS_FILES:
-        Path(f"{case}.json").write_text(json.dumps(state_to_json(_DETAILS_FILES[case]())))
-    return ["analyze", *_DETAILS_CASES[case], "--details", "--format", "json"]
-
-
-def _digest(text):
-    data = text.encode()
-    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-@pytest.mark.parametrize("case", sorted(_DETAILS_CASES))
-def test_analyze_details_digest(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    code, out, _ = run_cli(capsys, *_details_argv(case))
-    golden = json.loads((GOLDEN / "details.json").read_text())
-    assert code == 0
-    assert _digest(out) == golden[case]
-
-
-# zoo's sampled maxima pinned by digest: every N = 1..10 row at two seeds,
-# and the N = 6..7 pool shape of the ksep-zoo workload at three seeds
-_ZOO_DIGEST_CASES = {
-    **{f"n1-10-seed{s}": ("--nmin", "1", "--nmax", "10", "--samples", "20", "--seed", str(s))
-       for s in (0, 1)},
-    **{f"n6-7-seed{s}": ("--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", str(s))
-       for s in (0, 1234567, 2**31 - 1)},
+# OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
+# for another host.  Every input file the battery writes is the same bytes
+# there, and only the oracle's grid searches and verify's product fixtures,
+# which run through BLAS products, may print other digits.
+_PRESCOTT_MAY_MOVE = {
+    f"{command} --format {fmt}" for fmt in battery.FORMATS
+    for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",
+                    "verify --seed 0", "verify --seed 1")
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", sorted(_ZOO_DIGEST_CASES))
-def test_zoo_digest(case, fmt, capsys):
-    code, out, _ = run_cli(capsys, "zoo", *_ZOO_DIGEST_CASES[case], "--format", fmt)
-    golden = json.loads((GOLDEN / "zoo.json").read_text())
-    assert code == 0
-    assert _digest(out) == golden[f"{case} {fmt}"]
+def _by_command(text):
+    """The battery's lines keyed by their command, in the battery's order."""
+    return {line.split(" ", 3)[3]: line for line in text.splitlines()}
 
 
-_CHILD_RUNS = """
-import contextlib, io, json, sys
-from rotbell.cli import main
-runs = {}
-for case, argv in json.load(sys.stdin).items():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    runs[case] = [code, out.getvalue()]
-json.dump(runs, sys.stdout)
-"""
-
-
-def test_json_goldens_hold_under_another_blas_kernel(tmp_path, monkeypatch):
-    # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
-    # for another host.  The json goldens of analyze --ket, the --details digests,
-    # the zoo digests and every sweep golden must not move: no field of theirs
-    # depends on the kernel's roundoff, and zoo's term norms, the ket parser's norm
-    # and the unit-norm check are BLAS dots.
-    monkeypatch.chdir(tmp_path)  # the child runs here too, and reads the density file here
-    dens3 = random_density_matrix(3, np.random.default_rng(5))
-    Path("dens3.json").write_text(json.dumps(state_to_json(dens3)))
-    argvs = {
-        **{f"{case} json": ["analyze", "--ket", ket, "--details", "--format", "json"]
-           for case, ket in _GOLDEN_KETS.items()},
-        **{f"{case} json": ["analyze", "--ket", ket, "--format", "json"]
-           for case, ket in _GOLDEN_LARGE_KETS.items()},
-        **{case: _details_argv(case) for case in _DETAILS_CASES},
-        **{f"zoo {case} {fmt}": ["zoo", *argv, "--format", fmt]
-           for case, argv in _ZOO_DIGEST_CASES.items() for fmt in ("csv", "json")},
-        **{f"{case} {fmt}": [a.format(dens3="dens3.json") for a in argv] + ["--format", fmt]
-           for case, argv in _GOLDEN_CASES.items() if case.startswith("sweep-")
-           for fmt in ("json", "csv", "text")},
-    }
-    proc = subprocess.run([sys.executable, "-c", _CHILD_RUNS], input=json.dumps(argvs),
-                          env=_child_env(OPENBLAS_CORETYPE="Prescott"), capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    texts = {**json.loads((GOLDEN / "analyze_ket.json").read_text()),
-             **json.loads((GOLDEN / "sweep_zoo.json").read_text())}
-    zoo = json.loads((GOLDEN / "zoo.json").read_text())
-    digests = {**json.loads((GOLDEN / "details.json").read_text()),
-               **{f"zoo {case}": digest for case, digest in zoo.items()}}
-    for case, (code, out) in runs.items():
-        assert code == 0, case
-        if case in digests:
-            assert _digest(out) == digests[case], case
-        else:
-            assert out == texts[case], case
+def test_battery_prints_its_golden_here_and_under_another_blas_kernel():
+    # each run is a child, as when the battery is run by hand, so that pytest's
+    # warning filter cannot reach it; the two run side by side
+    kernels = {"host": ({}, set()),
+               "Prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, _PRESCOTT_MAY_MOVE)}
+    procs = {name: subprocess.Popen([sys.executable, str(BATTERY)], env=_child_env(**env),
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for name, (env, _) in kernels.items()}
+    runs = {}
+    for name, p in procs.items():  # every child is reaped before the first comparison can fail
+        out, err = p.communicate(timeout=300)
+        runs[name] = (p.returncode, err, _by_command(out))
+    golden = _by_command((GOLDEN / "battery.txt").read_text())
+    moved = []
+    for name, (code, err, lines) in runs.items():
+        assert (code, err) == (0, ""), name
+        assert list(lines) == list(golden), name  # the same commands in the same order
+        may_move = kernels[name][1]
+        moved += [f"{name}: {c}" for c in golden if lines[c] != golden[c] and c not in may_move]
+    assert not moved, "lines moved:\n" + "\n".join(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,11 +1075,7 @@ def test_render_ket_golden_output(name):
 @pytest.mark.parametrize("name", ["pure4", "dens3"])
 def test_analyze_file_details_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    files = {
-        "pure4": random_pure_state(4, np.random.default_rng(11)),
-        "dens3": random_density_matrix(3, np.random.default_rng(5)),
-    }
-    Path(f"{name}.json").write_text(json.dumps(state_to_json(files[name])))
+    Path(f"{name}.json").write_text(battery.FILES[f"{name}.json"])
     code, out, _ = run_cli(
         capsys, "analyze", "--input", f"{name}.json", "--details", "--format", "json"
     )

@@ -79,19 +79,34 @@ def test_white_noise_scales_the_profile_exactly(rho, v):
 
 @st.composite
 def checked_profiles(draw):
-    """A dense (N <= 8) or sparse (N <= 63) profile with exact zeros, at times subnormal."""
+    """A dense (N <= 8) or sparse (N <= 63) profile with exact zeros, at times subnormal.
+
+    A third kind is dense with N >= 5 and moduli within a factor of ten, with
+    one to three exact zeros and some elements near 1e-310 or 1e-318, which a
+    small V underflows alone.  Only on long rows of comparable moduli does the
+    grouping of a pairwise sum show in its bits, so these are the rows on
+    which the stacked sum rule's column mask and one-row fallback are seen.
+    """
     rng = np.random.default_rng(draw(seeds))
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 8))
-        index, size = None, 1 << (n - 1)
-    else:
+    kind = draw(st.sampled_from(["dense", "sparse", "comparable"]))
+    if kind == "sparse":
         n = draw(st.integers(1, 63))
         index = sorted(draw(st.sets(st.integers(0, (1 << (n - 1)) - 1), max_size=8)))
         size = len(index)
-    moduli = rng.uniform(0.0, 0.5, size) * (rng.random(size) < draw(st.floats(0.0, 1.0)))
-    moduli *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e-318, 5e-324]))
-    # some elements far smaller than the rest: a small V underflows them alone
-    moduli[rng.random(size) < draw(st.floats(0.0, 0.5))] *= draw(st.sampled_from([1e-200, 1e-310]))
+    else:
+        n = draw(st.integers(5 if kind == "comparable" else 1, 8))
+        index, size = None, 1 << (n - 1)
+    if kind == "comparable":
+        moduli = rng.uniform(0.05, 0.5, size)
+        moduli[rng.choice(size, draw(st.integers(1, 3)), replace=False)] = 0.0
+        small = rng.random(size) < draw(st.floats(0.05, 0.5))
+        moduli[small] *= draw(st.sampled_from([1e-310, 1e-318]))
+    else:
+        moduli = rng.uniform(0.0, 0.5, size) * (rng.random(size) < draw(st.floats(0.0, 1.0)))
+        moduli *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e-318, 5e-324]))
+        # some elements far smaller than the rest: a small V underflows them alone
+        small = rng.random(size) < draw(st.floats(0.0, 0.5))
+        moduli[small] *= draw(st.sampled_from([1e-200, 1e-310]))
     return AntidiagonalProfile(n, moduli * np.exp(2j * np.pi * rng.random(size)), index)
 
 
@@ -125,17 +140,17 @@ def _mixed_steps():
 @given(checked_profiles(),
        st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e-10, 1e-20]), st.floats(0.0, 1.0)),
                 min_size=1, max_size=12),
-       st.integers(1, 64))
-@example(_mixed_steps(), [1.0, 1e-15, 0.0, 0.5, 5e-324, 1e-5, 0.25], 256)  # two rows a chunk
-def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, vs, budget):
+       st.integers(1, 4))
+@example(_mixed_steps(), [1.0, 1e-15, 0.0, 0.5, 5e-324, 1e-5, 0.25], 2)
+def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, vs, per_chunk):
     """``sweep``'s stacked steps ``V * values`` of a checked profile give each row's report.
 
     The stacks mix full rows, rows of which only some values underflow to 0
-    and all-zero rows, and the chunk budget is small, so that chunk
+    and all-zero rows, and a chunk holds ``per_chunk`` rows, so that chunk
     boundaries fall inside the sweep.
     """
     n, vs = prof.n_qubits, np.array(vs)  # steps of np.linspace, as sweep multiplies them
-    with mock.patch.object(cli_mod, "_STACK_AMPLITUDES", budget):
+    with mock.patch.object(cli_mod, "_STACK_AMPLITUDES", per_chunk * prof.values.size):
         rows = list(cli_mod._sweep_rows(prof, vs))
     assert [np.float64(row[0]).tobytes() for row in rows] == [v.tobytes() for v in vs]
     for (_, *got), v in zip(rows, vs):

@@ -44,7 +44,8 @@ def stirling_oracle(n, k):
 
 
 def test_stirling_known_values():
-    table = {(3, 2): 3, (3, 3): 1, (4, 2): 7, (4, 3): 6, (5, 2): 15, (5, 3): 25, (8, 4): 1701}
+    table = {(3, 2): 3, (3, 3): 1, (4, 2): 7, (4, 3): 6, (5, 2): 15, (5, 3): 25, (8, 4): 1701,
+             (2, 3): 0}
     for (n, k), value in table.items():
         assert stirling_second(n, k) == value
     for n in range(1, 9):

@@ -59,6 +59,7 @@ def test_make_ghz_three_qubits():
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.7071067811865476
     assert np.allclose(st.amplitudes, expected, atol=1e-15)
+    assert st.dim == 8
 
 
 def test_make_ghz_rejects_zero_qubits():
@@ -561,6 +562,8 @@ def test_partition_spec_validation():
         PartitionSpec([[1], [3]])
     with pytest.raises(ValueError, match="empty"):
         PartitionSpec([[1], []])
+    with pytest.raises(ValueError, match="at least one block"):
+        PartitionSpec([])
 
 
 def test_partition_spec_wire_format():

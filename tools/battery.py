@@ -2,17 +2,28 @@
 
 Runs every command in this process through ``rotbell.cli.main`` from the
 checkout's own ``src`` and prints, per command, the exit code, the sha256 of
-stdout, the sha256 of stderr and the command line:
+stdout, the sha256 of stderr and the command line.  Its output is committed
+as ``tests/golden/battery.txt``, and ``tests/test_cli.py`` runs the battery
+as a child process against that golden twice: on the host, where every line
+must match, and under ``OPENBLAS_CORETYPE=Prescott``, where only the lines the
+test lists may move.  To regenerate the golden:
 
-    python3 tools/battery.py > after.txt
+    python3 tools/battery.py > tests/golden/battery.txt
 
-Run it on two checkouts and diff the outputs; an empty diff means every
-command printed the same bytes and exited the same way.  The input files
-(seeded dense pure and density states, malformed and deeply nested JSON) are
-written into a temporary working directory first, so json reports echo the
-same relative paths on every run.  BLAS runs one thread unless
-``OPENBLAS_NUM_THREADS`` is set; set ``OPENBLAS_CORETYPE`` (for example to
-``Prescott``) to compare under another OpenBLAS kernel.
+Regenerate it only for an intended change of output, in the same commit, and
+list the commands whose lines moved in CHANGES.md.  Like the other goldens it
+pins this host's Python 3.11 argparse text and OpenBLAS kernel.
+
+The input files (seeded dense pure and density states, malformed and deeply
+nested JSON) are written into a temporary working directory first, so json
+reports echo the same relative paths on every run.  The state files hold the
+draws of ``random_pure_state`` and ``random_density_matrix`` from the same
+normals, with the norm and the product G G^dag summed by numpy instead of by
+BLAS, whose roundoff depends on the kernel: every input file is the same
+bytes under any OpenBLAS kernel.  BLAS runs one thread unless
+``OPENBLAS_NUM_THREADS`` is set; set ``OPENBLAS_CORETYPE`` to compare under
+another OpenBLAS kernel.  Importing this module runs no command and sets
+nothing: the tests read its ket and case tables.
 """
 
 from __future__ import annotations
@@ -26,19 +37,48 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
-os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
 from rotbell.cli import main  # noqa: E402
-from rotbell.states import random_density_matrix, random_pure_state, state_to_json  # noqa: E402
+from rotbell.states import DensityMatrix, PureState, state_to_json  # noqa: E402
 
 FORMATS = ("json", "csv", "text")
 GHZ3 = "|000>+|111>"
 COMPLEX = "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + 0.5*|0000>"
-W3 = "|001> + |010> + |100>"
+
+# the kets of analyze --ket --details, pinned readably in tests/golden/analyze_ket.json
+GOLDEN_KETS = {
+    "ghz-type": "(0.6+0.2i)*|0000> - 0.8*|1111>",
+    "w": "|001> + |010> + |100>",
+    "complement-closed": (
+        "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + (0.5-0.1i)*|0011> + (-0.2+0.9i)*|1100>"
+    ),
+    "repeated": "|01> + 0.5*|10> + |01> - (0.25+1i)*|10>",
+    "leading-sign": "-|000> + (0.5-0.5i)|111>",
+    "signed-parts": "(1 - -2i)|00> + (-0.5 + +1.5i)*|11>",
+    "scale-huge": "1e200|00>+1e200|11>",
+    "scale-tiny": "1e-170|00>+1e-170|11>",
+}
+
+
+def large_kets(n):
+    """GHZ-type, W-type and 4-pair complement-closed kets on n >= 5 qubits."""
+    full = (1 << n) - 1
+    lo = ["(0.3+0.7i)", "(0.5-0.1i)", "(-0.2+0.9i)", "(1.1+0.4i)"]
+    hi = ["(-1.2+0.4i)", "(0.8+0.3i)", "(0.25-0.6i)", "(-0.7-0.9i)"]
+    xs = [1, 6, 1 << (n - 3), (1 << (n - 2)) | 3]
+    return {
+        "ghz-type": f"(0.6+0.2i)*|{0:0{n}b}> + (-0.3+0.7i)*|{full:0{n}b}>",
+        "w": " + ".join(f"({1 + j % 4}-0.{j % 7 + 1}i)*|{1 << j:0{n}b}>" for j in range(n)),
+        "complement-closed": " + ".join(
+            f"{a}*|{x:0{n}b}> + {b}*|{full ^ x:0{n}b}>" for a, b, x in zip(lo, hi, xs)
+        ),
+    }
 
 
 def _ket(n, terms):
@@ -51,12 +91,39 @@ KET40 = _ket(40, [("1", 0), ("1", (1 << 40) - 1)])
 # its 1e-200 term's profile element underflows to 0 in the smallest steps of a sweep, the other not
 UNDERFLOW = "(0.3+0.1i)*|000> + 1e-200*|111> + 0.5*|001> + (0+0.7i)*|110>"
 
+# the sweep, zoo and ghz commands pinned readably in tests/golden/sweep_zoo.json
+GOLDEN_CASES = {
+    "sweep-ghz3": ("sweep", "--ket", GHZ3, "--steps", "11"),
+    "sweep-complex": ("sweep", "--ket", COMPLEX, "--vmin", "0.2", "--vmax", "0.9", "--steps", "8"),
+    "sweep-density": ("sweep", "--input", "dens3.json", "--steps", "6"),
+    "zoo": ("zoo", "--nmin", "2", "--nmax", "4", "--samples", "3", "--seed", "7"),
+    "zoo-n6-7": ("zoo", "--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", "11"),
+    "zoo-n8-10": ("zoo", "--nmin", "8", "--nmax", "10", "--samples", "5", "--seed", "12"),
+    **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
+}
+
+
+def _pure(n, seed):
+    """``random_pure_state(n, np.random.default_rng(seed))``, its norm summed by numpy."""
+    re, im = np.random.default_rng(seed).standard_normal(2 << n).reshape(2, 1 << n)
+    return PureState(n, (re + 1j * im) / np.sqrt(np.square(re).sum() + np.square(im).sum()))
+
+
+def _density(n, seed):
+    """``random_density_matrix(n, np.random.default_rng(seed))``, its product summed by numpy."""
+    d = 1 << n
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = (g[:, None, :] * g.conj()).sum(axis=-1)
+    return DensityMatrix(n, m / np.trace(m))
+
+
 # name -> text of each input file
 FILES = {
-    "pure4.json": json.dumps(state_to_json(random_pure_state(4, np.random.default_rng(11)))),
-    "pure10.json": json.dumps(state_to_json(random_pure_state(10, np.random.default_rng(43)))),
-    "dens3.json": json.dumps(state_to_json(random_density_matrix(3, np.random.default_rng(5)))),
-    "dens6.json": json.dumps(state_to_json(random_density_matrix(6, np.random.default_rng(47)))),
+    "pure4.json": json.dumps(state_to_json(_pure(4, 11))),
+    "haar-pure-n10.json": json.dumps(state_to_json(_pure(10, (43, 10)))),
+    "dens3.json": json.dumps(state_to_json(_density(3, 5))),
+    "density-n6.json": json.dumps(state_to_json(_density(6, (47, 6)))),
     "broken.json": '{"n": 2, "kind": "pure", "amplitudes": [[1, 0]',
     "deep.json": "[" * 5000 + "]" * 5000,
     "deep-objects.json": '{"a":' * 5000 + "1" + "}" * 5000,
@@ -70,24 +137,22 @@ def commands():
     runs += [([cmd, "--help"], None) for cmd in ("analyze", "ghz", "sweep", "zoo", "verify")]
     for fmt in FORMATS:
         f = ["--format", fmt]
-        for ket in (GHZ3, COMPLEX, W3, KET24, KET40):
+        for ket in (GHZ3, COMPLEX, GOLDEN_KETS["w"], KET24, KET40,
+                    *large_kets(12).values(), *large_kets(20).values()):
             runs.append((["analyze", "--ket", ket, *f], None))
+        for ket in (COMPLEX, *GOLDEN_KETS.values(), *large_kets(12).values(),
+                    *large_kets(16).values()):
+            runs.append((["analyze", "--ket", ket, "--details", *f], None))
         runs += [
-            (["analyze", "--ket", COMPLEX, "--details", *f], None),
             (["analyze", "--ket", GHZ3, "--oracle", *f], None),
             (["analyze", "--input", "pure4.json", "--oracle", *f], None),
             (["analyze", "--input", "dens3.json", "--oracle", *f], None),
-            (["analyze", "--input", "pure10.json", "--details", *f], None),
-            (["analyze", "--input", "dens6.json", "--details", *f], None),
+            (["analyze", "--input", "haar-pure-n10.json", "--details", *f], None),
+            (["analyze", "--input", "density-n6.json", "--details", *f], None),
             (["analyze", "--input", "-", *f], FILES["dens3.json"]),
             (["ghz", "--n", "3", "--oracle", *f], None),
-            (["ghz", "--n", "26", *f], None),
-            (["sweep", "--ket", GHZ3, "--steps", "11", *f], None),
-            (["sweep", "--ket", COMPLEX, "--vmin", "0.2", "--vmax", "0.9", "--steps", "8", *f],
-             None),
             (["sweep", "--ket", KET24, "--steps", "1001", *f], None),
-            (["sweep", "--input", "dens3.json", "--steps", "6", *f], None),
-            (["sweep", "--input", "pure10.json", "--steps", "101", *f], None),
+            (["sweep", "--input", "haar-pure-n10.json", "--steps", "101", *f], None),
             (["sweep", "--input", "-", "--steps", "5", *f], FILES["pure4.json"]),
             (["zoo", "--nmin", "1", "--nmax", "7", "--samples", "5", "--seed", "3", *f], None),
             (["zoo", "--nmin", "11", "--nmax", "13", "--samples", "3", *f], None),
@@ -95,8 +160,15 @@ def commands():
             (["verify", "--seed", "0", *f], None),
             (["verify", "--seed", "1", *f], None),
         ]
+        runs += [([*argv, *f], None) for argv in GOLDEN_CASES.values()]
+        # zoo's sampled maxima: every N = 1..10 row at two seeds, and the
+        # N = 6..7 pool of the ksep-zoo workload at three seeds
+        runs += [(["zoo", "--nmin", "1", "--nmax", "10", "--samples", "20", "--seed", str(s), *f],
+                  None) for s in (0, 1)]
+        runs += [(["zoo", "--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", str(s), *f],
+                  None) for s in (0, 1234567, 2**31 - 1)]
     runs += [
-        (["sweep", "--input", "pure10.json", "--steps", "10001"], None),  # across stack chunks
+        (["sweep", "--input", "haar-pure-n10.json", "--steps", "10001"], None),  # across chunks
         (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
     ]
     runs += [  # refusals: exit 1 and one error line, or a usage error
