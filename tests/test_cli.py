@@ -997,26 +997,54 @@ def _by_command(text):
     return {line.split(" ", 3)[3]: line for line in text.splitlines()}
 
 
-def test_battery_prints_its_golden_here_and_under_another_blas_kernel():
+_GOLDEN_LINES = _by_command((GOLDEN / "battery.txt").read_text())
+
+
+@pytest.fixture(scope="module")
+def battery_runs():
     # each run is a child, as when the battery is run by hand, so that pytest's
-    # warning filter cannot reach it; the two run side by side
-    kernels = {"host": ({}, set()),
-               "Prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, _PRESCOTT_MAY_MOVE)}
+    # warning filter cannot reach it; the host and Prescott runs go side by side
+    kernels = {"host": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
     procs = {name: subprocess.Popen([sys.executable, str(BATTERY)], env=_child_env(**env),
                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for name, (env, _) in kernels.items()}
-    runs = {}
-    for name, p in procs.items():  # every child is reaped before the first comparison can fail
-        out, err = p.communicate(timeout=300)
-        runs[name] = (p.returncode, err, _by_command(out))
-    golden = _by_command((GOLDEN / "battery.txt").read_text())
-    moved = []
-    for name, (code, err, lines) in runs.items():
-        assert (code, err) == (0, ""), name
-        assert list(lines) == list(golden), name  # the same commands in the same order
-        may_move = kernels[name][1]
-        moved += [f"{name}: {c}" for c in golden if lines[c] != golden[c] and c not in may_move]
+             for name, env in kernels.items()}
+    # every child is reaped before the first comparison can fail
+    return {name: (*p.communicate(timeout=300), p.returncode) for name, p in procs.items()}
+
+
+def _assert_battery_golden(run, may_move=frozenset()):
+    out, err, code = run
+    lines = _by_command(out)
+    assert (code, err) == (0, "")
+    assert list(lines) == list(_GOLDEN_LINES)  # the same commands in the same order
+    moved = [c for c, line in _GOLDEN_LINES.items() if lines[c] != line and c not in may_move]
     assert not moved, "lines moved:\n" + "\n".join(moved)
+
+
+def test_battery_prints_its_golden(battery_runs):
+    _assert_battery_golden(battery_runs["host"])
+
+
+def test_json_goldens_hold_under_another_blas_kernel(battery_runs):
+    # the --details and zoo digests below and the json of the readable goldens are battery lines
+    _assert_battery_golden(battery_runs["Prescott"], _PRESCOTT_MAY_MOVE)
+
+
+# the digest cases also run in this process, under pytest's warning filter
+@pytest.mark.parametrize("case", sorted(battery.DETAILS_CASES))
+def test_analyze_details_digest(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
+    for name, text in battery.FILES.items():
+        Path(name).write_text(text)
+    argv = ["analyze", *battery.DETAILS_CASES[case], "--details", "--format", "json"]
+    assert battery.line(argv) == _GOLDEN_LINES[" ".join(argv)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(battery.ZOO_CASES))
+def test_zoo_digest(case, fmt):
+    argv = ["zoo", *battery.ZOO_CASES[case], "--format", fmt]
+    assert battery.line(argv) == _GOLDEN_LINES[" ".join(argv)]
 
 
 # ---------------------------------------------------------------------------

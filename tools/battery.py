@@ -6,7 +6,9 @@ stdout, the sha256 of stderr and the command line.  Its output is committed
 as ``tests/golden/battery.txt``, and ``tests/test_cli.py`` runs the battery
 as a child process against that golden twice: on the host, where every line
 must match, and under ``OPENBLAS_CORETYPE=Prescott``, where only the lines the
-test lists may move.  To regenerate the golden:
+test lists may move; its ``--details`` and ``zoo`` digest tests compare the
+``line`` of their commands in the test process with the golden too.  To
+regenerate the golden:
 
     python3 tools/battery.py > tests/golden/battery.txt
 
@@ -102,6 +104,20 @@ GOLDEN_CASES = {
     **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
 }
 
+# the sources of analyze --details whose json output tests/test_cli.py pins by digest
+DETAILS_CASES = {
+    **{f"{name}-n{n}": ("--ket", ket) for n in (12, 16) for name, ket in large_kets(n).items()},
+    **{name: ("--input", f"{name}.json") for name in ("haar-pure-n10", "density-n6")},
+}
+# zoo's sampled maxima: every N = 1..10 row at two seeds, and the
+# N = 6..7 pool of the ksep-zoo workload at three seeds
+ZOO_CASES = {
+    **{f"n1-10-seed{s}": ("--nmin", "1", "--nmax", "10", "--samples", "20", "--seed", str(s))
+       for s in (0, 1)},
+    **{f"n6-7-seed{s}": ("--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", str(s))
+       for s in (0, 1234567, 2**31 - 1)},
+}
+
 
 def _pure(n, seed):
     """``random_pure_state(n, np.random.default_rng(seed))``, its norm summed by numpy."""
@@ -140,15 +156,13 @@ def commands():
         for ket in (GHZ3, COMPLEX, GOLDEN_KETS["w"], KET24, KET40,
                     *large_kets(12).values(), *large_kets(20).values()):
             runs.append((["analyze", "--ket", ket, *f], None))
-        for ket in (COMPLEX, *GOLDEN_KETS.values(), *large_kets(12).values(),
-                    *large_kets(16).values()):
+        for ket in (COMPLEX, *GOLDEN_KETS.values()):
             runs.append((["analyze", "--ket", ket, "--details", *f], None))
+        runs += [(["analyze", *src, "--details", *f], None) for src in DETAILS_CASES.values()]
         runs += [
             (["analyze", "--ket", GHZ3, "--oracle", *f], None),
             (["analyze", "--input", "pure4.json", "--oracle", *f], None),
             (["analyze", "--input", "dens3.json", "--oracle", *f], None),
-            (["analyze", "--input", "haar-pure-n10.json", "--details", *f], None),
-            (["analyze", "--input", "density-n6.json", "--details", *f], None),
             (["analyze", "--input", "-", *f], FILES["dens3.json"]),
             (["ghz", "--n", "3", "--oracle", *f], None),
             (["sweep", "--ket", KET24, "--steps", "1001", *f], None),
@@ -161,12 +175,7 @@ def commands():
             (["verify", "--seed", "1", *f], None),
         ]
         runs += [([*argv, *f], None) for argv in GOLDEN_CASES.values()]
-        # zoo's sampled maxima: every N = 1..10 row at two seeds, and the
-        # N = 6..7 pool of the ksep-zoo workload at three seeds
-        runs += [(["zoo", "--nmin", "1", "--nmax", "10", "--samples", "20", "--seed", str(s), *f],
-                  None) for s in (0, 1)]
-        runs += [(["zoo", "--nmin", "6", "--nmax", "7", "--samples", "5", "--seed", str(s), *f],
-                  None) for s in (0, 1234567, 2**31 - 1)]
+        runs += [(["zoo", *argv, *f], None) for argv in ZOO_CASES.values()]
     runs += [
         (["sweep", "--input", "haar-pure-n10.json", "--steps", "10001"], None),  # across chunks
         (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
@@ -229,6 +238,13 @@ def run(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
+def line(argv, stdin=None):
+    """The battery's line of one command, run in this process and working directory."""
+    code, out, err = run(argv, stdin)
+    label = " ".join(argv) + (" < stdin" if stdin is not None else "")
+    return f"{code} {_sha(out)} {_sha(err)} {label}"
+
+
 def battery():
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
@@ -237,9 +253,7 @@ def battery():
             for name, text in FILES.items():
                 Path(name).write_text(text)
             for argv, stdin in commands():
-                code, out, err = run(argv, stdin)
-                label = " ".join(argv) + (" < stdin" if stdin is not None else "")
-                print(f"{code} {_sha(out)} {_sha(err)} {label}", flush=True)
+                print(line(argv, stdin), flush=True)
         finally:
             os.chdir(here)
 
