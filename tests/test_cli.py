@@ -233,6 +233,14 @@ def test_analyze_invalid_state_exits_1(tmp_path, capsys):
     assert "not normalized" in err
 
 
+def test_analyze_density_file_with_nan_exits_1_with_nothing_on_stdout(tmp_path, capsys):
+    path = tmp_path / "nan.json"  # json.loads reads the NaN literal, so the constructor refuses it
+    path.write_text('{"n": 1, "kind": "density", "matrix": '
+                    '[[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}')
+    assert run_cli(capsys, "analyze", "--input", str(path)) == (
+        1, "", "error: matrix contains NaN or Inf\n")
+
+
 @pytest.mark.parametrize("bad, word", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
 def test_non_finite_report_field_exits_1_with_nothing_on_stdout(bad, word, capsys, monkeypatch):
     real = WitnessReport.to_dict

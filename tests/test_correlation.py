@@ -94,6 +94,9 @@ def test_profile_rejects_modulus_above_half():
 def test_tensor_rejects_a_component_above_one():
     with pytest.raises(ValueError, match="tensor component 1.1 exceeds the unit bound"):
         CorrelationTensor(1, np.array([0.0, -1.1]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^tensor contains NaN or Inf$"):
+            CorrelationTensor(1, np.array([bad, 0.0]))
 
 
 @pytest.mark.parametrize("cls, per_qubit", [(AntidiagonalProfile, 1), (CorrelationTensor, 2)])

@@ -116,6 +116,9 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(2, 2\)"):
         DensityMatrix(1, np.eye(4) / 4)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):  # Hermitian, unit trace
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf$"):
+            DensityMatrix(1, np.array([[0.5, bad], [np.conj(bad), 0.5]]))
 
 
 @pytest.mark.parametrize("n", [2, 6])
