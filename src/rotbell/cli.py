@@ -23,7 +23,7 @@ import numpy as np
 
 from .correlation import antidiagonal_profile, correlation_tensor
 from .oracle import BudgetExceededError, GridSearchConfig, cross_validate
-from .separability import _STACK_AMPLITUDES, _mixture_profiles
+from .separability import _mixture_profiles, _stacks
 from .states import (
     MAX_DENSE_QUBITS,
     MAX_PURE_QUBITS,
@@ -347,10 +347,19 @@ def _report_csv_rows(report):
     return [scalars + [getattr(t, h) for h in rung_fields] for t in report.thresholds]
 
 
-def _report_state(state, args, gated, meta=None, details=None):
-    """Classify, cross-check on request, print; ``gated``: is a gap below e_max a failure?"""
-    report = classify(state)
+def _report_state(state, args, gated, meta=None, details=False):
+    """Classify one profile, add its details and cross-check on request, print.
+
+    ``gated``: is a gap below e_max a failure?
+    """
+    prof = antidiagonal_profile(state)
+    report = classify(prof)
     payload = {"report": report.to_dict()}
+    if details:  # both arrays read the profile's one scatter
+        payload["correlation"] = {
+            "antidiagonal_profile": _to_pairs(prof.full_values()),
+            "correlation_tensor": correlation_tensor(prof).components,
+        }
     if meta:
         payload["input"] = meta
     tables = [(_ANALYZE_CSV_HEADER, _report_csv_rows(report))]
@@ -364,8 +373,6 @@ def _report_state(state, args, gated, meta=None, details=None):
             f"oracle state: {_oracle_numbers(oracle_report)} "
             f"[{_attainment(oracle_report, gated)}] -> {_ok(oracle_report, gated)}",
         ))
-    if details is not None:
-        payload["correlation"] = details
     _emit(args.format, payload, tables, lines)
     if oracle_report is not None and not oracle_report.passes(gated):
         return EXIT_VALIDATION
@@ -406,14 +413,8 @@ def _oracle_table(entries):
 
 def cmd_analyze(args):
     state, meta = _load_state(args)
-    details = None
-    if args.details and args.format == "json":  # only the json report prints them
-        prof = antidiagonal_profile(state)
-        details = {  # both arrays read the profile's one scatter
-            "antidiagonal_profile": _to_pairs(prof.full_values()),
-            "correlation_tensor": correlation_tensor(prof).components,
-        }
     # arbitrary states: a generic N >= 3 state has a real gap, which is data
+    details = args.details and args.format == "json"  # only the json report prints them
     return _report_state(state, args, gated=False, meta=meta, details=details)
 
 
@@ -433,8 +434,8 @@ def cmd_sweep(args):
         raise ValueError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {args.steps}")
     state, _meta = _load_state(args)
     # White noise maps the antidiagonal to V * rho_ad + 0: each step rescales the stored
-    # values.  The profile is checked once, here; since 0 <= V <= 1, no rounded part of
-    # V * x is larger in magnitude than x's, so every step is finite and within the 1/2 bound.
+    # values of the profile checked here.  Since 0 <= V <= 1, no rounded part of V * x is
+    # larger in magnitude than x's, so every step keeps correlation._check_profile's rule.
     prof = antidiagonal_profile(state)
     visibilities = np.linspace(args.vmin, args.vmax, args.steps)
     _emit(args.format, *_table(_SWEEP_COLUMNS, list(_sweep_rows(prof, visibilities))))
@@ -444,15 +445,12 @@ def cmd_sweep(args):
 def _sweep_rows(prof, visibilities):
     """``(V, r, lhv_violated, min_excluded_separability)`` of ``V * prof.values`` for each V.
 
-    The rows ``V * values`` are scaled and classified as stacks of at most
-    ``_STACK_AMPLITUDES`` values (at least one row), one ``_witness`` call a
-    stack.
+    The rows ``V * values`` are scaled, by one multiply, and classified, by
+    one ``_witness`` call, in the stacks of ``separability._stacks``.
     """
-    per = max(1, _STACK_AMPLITUDES // max(1, prof.values.size))
-    for i in range(0, len(visibilities), per):
-        vs = visibilities[i:i + per]
-        w = _witness(prof.n_qubits, vs[:, None] * prof.values)
-        yield from zip(vs.tolist(), w.r, w.lhv_violated, w.min_excluded_separability)
+    for vs in _stacks(visibilities.tolist(), prof.values.size):
+        w = _witness(prof.n_qubits, np.array(vs)[:, None] * prof.values)
+        yield from zip(vs, w.r, w.lhv_violated, w.min_excluded_separability)
 
 
 _ZOO_COLUMNS = (("n", "n", 3), ("k", "k", 2), ("ghz_r", "ghz_r", 15),

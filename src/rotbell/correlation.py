@@ -57,8 +57,8 @@ from functools import cached_property
 import numpy as np
 
 from .states import MAX_DENSE_QUBITS, MAX_PURE_QUBITS, MAX_TERM_QUBITS, DensityMatrix, KetParse
-from .states import PureState, _check_qubits, _freeze_array, _freeze_index, _require_state
-from .states import _scatter, _to_pairs
+from .states import PureState, _check_finite, _check_qubits, _freeze_array, _freeze_index
+from .states import _require_state, _scatter, _to_pairs
 
 __all__ = [
     "AntidiagonalProfile",
@@ -104,7 +104,7 @@ class AntidiagonalProfile:
             _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         half = 1 << (self.n_qubits - 1)
         size = half if self.index is None else _freeze_index(self, half, "profile index").size
-        _check_profile_bound(_freeze_array(self, "values", complex, (size,), "profile"))
+        _check_profile(_freeze_array(self, "values", complex, (size,), "profile"))
 
     def full_values(self):
         """All 2^(N-1) elements: ``values`` itself when dense, else scattered into zeros.
@@ -125,8 +125,9 @@ class AntidiagonalProfile:
         return _to_pairs(self.full_values()).tolist()
 
 
-def _check_profile_bound(vals):
-    """The 1/2 bound of a profile, or of a stack of profiles: every modulus at most 1/2."""
+def _check_profile(vals):
+    """The one content rule for profile values, of one profile or a stack: finite, moduli <= 1/2."""
+    _check_finite(vals, "profile")
     big = float(np.abs(vals).max(initial=0.0))
     if big > 0.5 + ANTIDIAG_BOUND_TOL:
         raise ValueError(f"antidiagonal modulus {big} exceeds the 1/2 bound")
@@ -148,6 +149,7 @@ class CorrelationTensor:
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
         comp = _freeze_array(self, "components", float, (1 << self.n_qubits,), "tensor")
+        _check_finite(comp, "tensor")
         big = float(np.max(np.abs(comp)))
         if big > 1.0 + TENSOR_BOUND_TOL:
             raise ValueError(f"tensor component {big} exceeds the unit bound")

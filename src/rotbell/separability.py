@@ -14,9 +14,9 @@ from itertools import islice
 import numpy as np
 
 from .correlation import ANTIDIAG_BOUND_TOL, antidiagonal_profile
-from .correlation import _check_profile_bound, _pure_profile
-from .states import PartitionSpec, _check_finite, _check_k, _check_sampler, _check_unit_norm, _dim
-from .states import _is_count, _partition_blocks, _product_terms, _stirling_rows
+from .correlation import _check_profile, _pure_profile
+from .states import PartitionSpec, _check_amplitudes, _check_k, _check_sampler, _dim, _is_count
+from .states import _partition_blocks, _product_terms, _stirling_rows
 
 __all__ = [
     "stirling_second",
@@ -88,51 +88,50 @@ def sample_partition(n, k, rng):
     return PartitionSpec(_partition_blocks(*_check_k(n, k), rng))
 
 
-# Amplitudes per stack of sampled terms (4 MiB): from N = 17 on, a stack of
-# two-term samples holds one sample.
+# Amplitudes or profile values per stack of rows (4 MiB): from N = 17 on, a stack
+# of two-term samples holds one sample.
 _STACK_AMPLITUDES = 1 << 18
+
+
+def _stacks(items, row_size):
+    """``items``, read lazily, in lists of the rows of ``row_size`` numbers that fit one stack.
+
+    The one stack budget of ``zoo``'s samples and ``sweep``'s steps; a list holds one row or more.
+    """
+    per = max(1, _STACK_AMPLITUDES // max(1, row_size))
+    items = iter(items)
+    while chunk := list(islice(items, per)):
+        yield chunk
 
 
 def _mixture_profiles(n, k, n_terms, seeds):
     """Chunks of profile rows of random k-separable mixtures: ``zoo``'s one sample route.
 
-    Yields one (samples, 2^(n-1)) stack per chunk, a row per seed in seed
-    order.  The row for ``seed`` is ``0 + w_1 P_1 + w_2 P_2 + ...``, the
-    weighted sum of the profiles of the terms of ``sample_product_terms(n,
-    k, n_terms, seed)``, bit for bit: the ``values`` of the dense
-    ``AntidiagonalProfile`` of that mixture, without the object.  The
-    arguments are checked before anything is drawn.  ``seeds`` is read
-    lazily, in chunks of as many samples as fit ``_STACK_AMPLITUDES`` (at
-    least one).  A chunk's terms come
-    from one call of ``states._product_terms``: up to n = 10, the blocks of
-    every term of the chunk are built as one flat array and each term is one
-    gather of its blocks' entries and one product, and past that each term is
-    placed on its own by ``tensor_product``'s placement.  They fill one
-    (samples, n_terms, 2^n) stack, which is checked once by ``PureState``'s
-    rules: every amplitude finite, every term of unit norm.  The term
-    profiles are taken and checked against the 1/2 bound as one stack, and
-    the amplitudes are dropped before the sums are formed.  The chunk's
-    mixtures are then checked once by the profile constructor's two rules,
-    finite and within the 1/2 bound, so each chunk may go to
-    ``witness._witness`` as it is.
+    Yields one (samples, 2^(n-1)) stack per chunk of ``_stacks(seeds, n_terms
+    2^n)``, a row per seed in seed order.  The row for ``seed`` is ``0 + w_1
+    P_1 + w_2 P_2 + ...``, the weighted sum of the profiles of the terms of
+    ``sample_product_terms(n, k, n_terms, seed)``, bit for bit: the ``values``
+    of the dense ``AntidiagonalProfile`` of that mixture, without the object.
+    The arguments are checked before anything is drawn.  A chunk's terms come
+    from one call of ``states._product_terms`` into one (samples, n_terms,
+    2^n) stack, which passes ``states._check_amplitudes`` before its term
+    profiles are taken.  The stack of term profiles and then the chunk's
+    mixtures pass ``correlation._check_profile``, so each chunk may go to
+    ``witness._witness`` as it is.  The amplitudes are dropped before the
+    sums are formed.
     """
     n, k = _check_sampler(n, k, n_terms)
-    per = max(1, _STACK_AMPLITUDES // (n_terms * _dim(n)))
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, per)):
+    for chunk in _stacks(seeds, n_terms << n):
         amps = np.empty((len(chunk), n_terms, _dim(n)), dtype=complex)
         terms = _product_terms(n, k, n_terms, chunk, amps.reshape(-1, _dim(n)))
         weights = np.fromiter((w for w, _ in terms), float).reshape(len(chunk), n_terms)
-        _check_finite(amps, "amplitude vector")
-        for term in amps.reshape(-1, amps.shape[-1]):
-            _check_unit_norm(term)
+        _check_amplitudes(amps)
         terms = _pure_profile(amps)
-        del amps, term  # every view of the stack, or it lives on into the next chunk
-        _check_profile_bound(terms)
+        del amps  # or it lives on into the next chunk
+        _check_profile(terms)
         mixed = sum(w[:, None] * p for w, p in zip(weights.T, terms.swapaxes(0, 1)))
         del terms
-        _check_finite(mixed, "profile")
-        _check_profile_bound(mixed)
+        _check_profile(mixed)
         yield mixed
         del mixed  # before the next chunk is drawn
 

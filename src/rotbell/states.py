@@ -89,12 +89,12 @@ def _check_k(n, k, name="k"):
 
 
 def _freeze_array(obj, field, dtype, shape, what):
-    """The one construct-time array rule of the state-like dataclasses.
+    """The one construct-time array step of the state-like dataclasses; it checks no content.
 
     Replaces ``obj.<field>`` by an owned ``dtype`` copy of it (flattened when
-    ``shape`` is one-dimensional), refuses any other shape and any NaN or Inf,
-    freezes the copy and stores ``n_qubits`` as a Python int.  Returns the
-    frozen array for the type's own checks.
+    ``shape`` is one-dimensional), refuses any other shape, freezes the copy
+    and stores ``n_qubits`` as a Python int.  Returns the frozen array for
+    the type's content rule.
     """
     arr = np.array(getattr(obj, field), dtype=dtype)
     if len(shape) == 1:
@@ -103,7 +103,6 @@ def _freeze_array(obj, field, dtype, shape, what):
             raise ValueError(f"{what} has length {arr.size}, expected {shape[0]}")
     elif arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    _check_finite(arr, what)
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     object.__setattr__(obj, "n_qubits", int(obj.n_qubits))
@@ -135,11 +134,13 @@ def _scatter(n, length, index, values):
     return full
 
 
-def _check_unit_norm(amps):
-    """The one normalization rule for amplitudes, dense or named."""
-    nrm2 = float(np.vdot(amps, amps).real)
-    if abs(nrm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
+def _check_amplitudes(amps):
+    """The one amplitude rule, for a state or a stack: all finite, each row's vdot 1 +- NORM_TOL."""
+    _check_finite(amps, "amplitude vector")
+    for row in amps.reshape(-1, amps.shape[-1]) if amps.ndim > 1 else [amps]:
+        nrm2 = float(np.vdot(row, row).real)
+        if abs(nrm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"state is not normalized: sum |amplitude|^2 = {nrm2!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +152,7 @@ class PureState:
 
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_PURE_QUBITS, "pure-state")
-        amps = _freeze_array(self, "amplitudes", complex, (_dim(self.n_qubits),), "amplitude vector")
-        _check_unit_norm(amps)
+        _check_amplitudes(_freeze_array(self, "amplitudes", complex, (self.dim,), "amplitude vector"))
 
     @property
     def dim(self):
@@ -170,6 +170,7 @@ class DensityMatrix:
         _check_qubits(self.n_qubits, MAX_DENSE_QUBITS, "dense-matrix")
         d = _dim(self.n_qubits)
         mat = _freeze_array(self, "matrix", complex, (d, d), "matrix")
+        _check_finite(mat, "matrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
@@ -641,9 +642,9 @@ class KetParse:
 
     ``index`` lists the named basis indices in increasing order and
     ``amplitudes`` their normalized sums; every other amplitude is zero.
-    Validated like a PureState (finite, unit norm within ``NORM_TOL``), but
-    over the named terms only, under the term cap; ``input_norm`` must be
-    finite and positive.  ``state`` places the terms into a dense PureState
+    Its amplitudes pass a PureState's rule, ``_check_amplitudes``, over the
+    named terms only, under the term cap; ``input_norm`` must be finite and
+    positive.  ``state`` places the terms into a dense PureState
     on first use, under the pure-state cap.
     """
 
@@ -655,7 +656,7 @@ class KetParse:
     def __post_init__(self):
         _check_qubits(self.n_qubits, MAX_TERM_QUBITS, "term")
         idx = _freeze_index(self, _dim(self.n_qubits), "ket index")
-        _check_unit_norm(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
+        _check_amplitudes(_freeze_array(self, "amplitudes", complex, (idx.size,), "amplitude vector"))
         if not (np.isfinite(self.input_norm) and self.input_norm > 0):
             raise ValueError(f"input_norm must be finite and positive, got {self.input_norm!r}")
 

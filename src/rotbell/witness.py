@@ -153,12 +153,11 @@ class _Rows(NamedTuple):
 def _witness(n, rows):
     """The witness of each row of an (R, m) stack of n-qubit profile values, checking nothing.
 
-    Only for values that are already known to pass ``AntidiagonalProfile``'s
-    checks, finite and every modulus at most 1/2, because they are derived
-    from a checked profile in a way that keeps both: ``classify``'s one row,
-    ``sweep``'s rows ``V * values`` of a checked profile with 0 <= V <= 1,
-    and ``zoo``'s mixture rows, each chunk of which
-    ``separability._mixture_profiles`` checks by the constructor's rules.
+    Only for values that are already known to pass the profile rule,
+    ``correlation._check_profile``: ``classify``'s one row, ``sweep``'s rows
+    ``V * values`` of a checked profile with 0 <= V <= 1, which keep it, and
+    ``zoo``'s mixture rows, each chunk of which
+    ``separability._mixture_profiles`` passes through it.
     Positions never enter (see ``correlation._closed_forms``), so the values
     of a sparse profile suffice.  The sums of all rows come from one call of
     the sum rule; then each row's r is ``violation_factor``'s, and its

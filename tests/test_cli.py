@@ -881,14 +881,19 @@ def test_sweep_stacks_stay_within_their_chunk_budget(tmp_path, monkeypatch, caps
     (("sweep", "--ket", "|000>+|111>", "--steps", "101"), [3], []),
     (("sweep", "--input", "dens3.json", "--steps", "101"), [3], []),
     (("zoo", "--nmin", "2", "--nmax", "4", "--samples", "5"), [2, 3, 4], [2, 3, 4]),  # GHZ column
-], ids=["sweep-ket", "sweep-density", "zoo"])
+    (("analyze", "--ket", "|000>+|111>", "--details", "--format", "json"), [3], [3]),
+    (("analyze", "--input", "dens3.json", "--details", "--format", "json"), [3], [3]),
+    (("analyze", "--ket", "|000>+|111>", "--oracle"), [3, 3], [3]),  # the report's, the oracle's
+    (("ghz", "--n", "3", "--oracle"), [3, 3], [3]),
+], ids=["sweep-ket", "sweep-density", "zoo", "analyze-ket-details", "analyze-density-details",
+        "analyze-ket-oracle", "ghz-oracle"])
 def test_each_profile_is_checked_once_where_it_enters(argv, built, reported, tmp_path,
                                                        monkeypatch, capsys):
     # sweep's steps and zoo's samples are rows of checked values, not profile objects,
-    # and they reach the witness as stacks, with no report per row
+    # and they reach the witness as stacks, with no report per row; analyze and ghz
+    # build one profile for the report and the details, and the oracle builds its own
     monkeypatch.chdir(tmp_path)
-    dens3 = random_density_matrix(3, np.random.default_rng(5))
-    Path("dens3.json").write_text(json.dumps(state_to_json(dens3)))
+    Path("dens3.json").write_text(battery.FILES["dens3.json"])
     check = correlation_mod.AntidiagonalProfile.__post_init__
     report = witness_mod.WitnessReport
     checked, reports = [], []
@@ -903,25 +908,25 @@ def test_each_profile_is_checked_once_where_it_enters(argv, built, reported, tmp
 
     monkeypatch.setattr(correlation_mod.AntidiagonalProfile, "__post_init__", counted)
     monkeypatch.setattr(witness_mod, "WitnessReport", counted_report)
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    code, out, _ = run_cli(capsys, argv[0], "--format", "csv", *argv[1:])  # argv's own format wins
     assert code == 0 and out
     assert (checked, reports) == (built, reported)
 
 
 def test_zoo_checks_each_stack_of_term_profiles_against_the_half_bound(capsys, monkeypatch):
-    profile = correlation_mod._pure_profile
-    check_finite = separability_mod._check_finite
+    profile, check = correlation_mod._pure_profile, separability_mod._check_profile
+    checked = []
 
-    def refuse(arr, what):
-        if what == "profile":  # the first step that reads a mixture: its chunk's check
-            raise AssertionError("a mixture was formed before its terms were checked")
-        check_finite(arr, what)
+    def counted(vals):
+        checked.append(vals.shape)
+        check(vals)
 
     monkeypatch.setattr(separability_mod, "_pure_profile", lambda amps: 100.0 * profile(amps))
-    monkeypatch.setattr(separability_mod, "_check_finite", refuse)
+    monkeypatch.setattr(separability_mod, "_check_profile", counted)
     code, out, err = run_cli(capsys, "zoo", "--nmin", "2", "--nmax", "2", "--samples", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: antidiagonal modulus ") and err.endswith(" exceeds the 1/2 bound\n")
+    assert checked == [(2, 2, 2)]  # the stack of term profiles, before any mixture was formed
 
 
 class _FirstStackOnly(Exception):
@@ -1071,12 +1076,8 @@ _GOLDEN_ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN_ORACLE_CASES))
 def test_oracle_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    files = {
-        "pure4": random_pure_state(4, np.random.default_rng(11)),
-        "dens3": random_density_matrix(3, np.random.default_rng(5)),
-    }
-    for name, state in files.items():
-        Path(f"{name}.json").write_text(json.dumps(state_to_json(state)))
+    for name in ("pure4.json", "dens3.json"):  # the battery's files, the same bytes on any kernel
+        Path(name).write_text(battery.FILES[name])
     code, out, _ = run_cli(capsys, *_GOLDEN_ORACLE_CASES[case], "--format", fmt)
     golden = json.loads((GOLDEN / "oracle.json").read_text())
     assert code == 0

@@ -150,7 +150,7 @@ def test_values_route_is_the_report_of_the_rescaled_profile_to_the_bit(prof, vs,
     boundaries fall inside the sweep.
     """
     n, vs = prof.n_qubits, np.array(vs)  # steps of np.linspace, as sweep multiplies them
-    with mock.patch.object(cli_mod, "_STACK_AMPLITUDES", per_chunk * prof.values.size):
+    with mock.patch.object(separability_mod, "_STACK_AMPLITUDES", per_chunk * prof.values.size):
         rows = list(cli_mod._sweep_rows(prof, vs))
     assert [np.float64(row[0]).tobytes() for row in rows] == [v.tobytes() for v in vs]
     for (_, *got), v in zip(rows, vs):
