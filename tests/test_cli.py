@@ -995,9 +995,9 @@ def test_analyze_large_ket_golden_output(case, fmt, capsys):
 # this host and under another OpenBLAS kernel
 
 # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
-# for another host.  Every input file the battery writes is the same bytes
-# there, and only the oracle's grid searches and verify's product fixtures,
-# which run through BLAS products, may print other digits.
+# for another host.  Every input file the battery writes must be the same bytes
+# there (its file lines), and only the oracle's grid searches and verify's
+# product fixtures, which run through BLAS products, may print other digits.
 _PRESCOTT_MAY_MOVE = {
     f"{command} --format {fmt}" for fmt in battery.FORMATS
     for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",

@@ -253,14 +253,18 @@ def test_partition_blocks_are_the_stream_of_sample_partition(n, seed):
         assert rng.bit_generator.state == rng0.bit_generator.state
 
 
-def test_sample_partition_uniform():
-    rng = np.random.default_rng(1)
-    draws = 7000
-    counts = Counter(sample_partition(4, 2, rng).as_set() for _ in range(draws))
-    assert len(counts) == stirling_second(4, 2) == 7
-    expected = draws / 7
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+def test_sample_partition_uniform(n, k):
+    """Given its block count, every partition is drawn, each as often within 5 standard errors."""
+    want = {p.as_set() for p in enumerate_partitions(n, k) if p.k == k}
+    assert len(want) == stirling_second(n, k)
+    rng = np.random.default_rng((n, k))
+    draws = 400 * len(want)
+    counts = Counter(sample_partition(n, k, rng).as_set() for _ in range(draws))
+    assert set(counts) == want
+    p = 1 / len(want)
     for c in counts.values():
-        assert abs(c - expected) < 5 * np.sqrt(expected)
+        assert abs(c - draws * p) <= 5 * np.sqrt(draws * p * (1 - p))
 
 
 def test_max_antidiagonal_bound_values():

@@ -1,4 +1,7 @@
+import math
 import time
+import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -549,6 +552,87 @@ def test_sampler_rank_accepts_numpy_integers_with_the_same_stream():
     b = random_density_matrix(3, np.random.default_rng(0), rank=np.int64(2))
     assert np.array_equal(a.matrix, b.matrix)
     assert np.linalg.matrix_rank(a.matrix, tol=1e-10) == 2
+
+
+def test_random_pure_state_peaks_near_twice_its_amplitudes():
+    # 16 MiB of amplitudes at N = 20: the normals and the amplitudes, then the
+    # amplitudes and the state's copy; squaring the normals after the amplitudes
+    # exist would hold all three and one square, 2.5 times
+    rng = np.random.default_rng(0)
+    random_pure_state(2, rng)  # set-up outside
+    tracemalloc.start()
+    try:
+        random_pure_state(20, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * 2**20
+
+
+# the sampler's law, each mean within 5 standard errors at a fixed seed
+
+
+def _assert_mean(samples, mean, var):
+    """The mean of ``samples`` along axis 0 is ``mean`` within 5 standard errors of ``var``."""
+    samples = np.asarray(samples)
+    assert np.all(np.abs(samples.mean(axis=0) - mean) <= 5 * np.sqrt(var / len(samples)))
+
+
+def test_term_block_count_is_uniform_from_k_to_n():
+    n, k, n_terms = 6, 2, 5000
+    counts = Counter(len(part) for _, part, _ in states_mod._term_draws(n, k, n_terms, [0]))
+    assert sorted(counts) == list(range(k, n + 1))
+    p = 1 / (n - k + 1)
+    for c in counts.values():
+        assert abs(c - n_terms * p) <= 5 * np.sqrt(n_terms * p * (1 - p))
+
+
+@pytest.mark.parametrize("n_terms", [2, 5])
+def test_term_weights_have_mean_one_over_the_term_count(n_terms):
+    draws = states_mod._term_draws(1, 1, n_terms, range(2000))
+    w = np.array([w for w, _, _ in draws]).reshape(-1, n_terms)  # a row per seed
+    assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # each weight of a flat Dirichlet is Beta(1, n_terms - 1)
+    _assert_mean(w, 1 / n_terms, (n_terms - 1) / (n_terms**2 * (n_terms + 1)))
+
+
+def _assert_haar_moments(blocks):
+    """Rows of Haar vectors in C^d: E|a_i|^2 = 1/d and E|a_i|^4 = 2/(d(d+1)), entry by entry.
+
+    |a_i|^2 is Beta(1, d - 1), whose m-th moment is m! / (d (d+1) ... (d+m-1)).
+    """
+    x = np.abs(blocks) ** 2
+    d = x.shape[1]
+
+    def moment(m):
+        return math.factorial(m) / math.prod(range(d, d + m))
+
+    for m in (1, 2):
+        _assert_mean(x**m, moment(m), moment(2 * m) - moment(m) ** 2)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_pure_state_has_haar_moments(n):
+    rng = np.random.default_rng((59, n))
+    _assert_haar_moments([random_pure_state(n, rng).amplitudes for _ in range(3000)])
+
+
+def test_product_term_blocks_have_haar_moments():
+    blocks = {}
+    draw = states_mod._haar_blocks
+
+    def record(z, dims):
+        amps, starts = draw(z, dims)
+        for d, a in zip(dims, starts):
+            blocks.setdefault(d, []).append(amps[a:a + d])
+        return amps, starts
+
+    with mock.patch.object(states_mod, "_haar_blocks", side_effect=record):
+        for _ in states_mod._product_terms(4, 1, 8000, [61], [None] * 8000):
+            pass
+    assert sorted(blocks) == [2, 4, 8, 16]
+    for rows in blocks.values():
+        _assert_haar_moments(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Runs every command in this process through ``rotbell.cli.main`` from the
 checkout's own ``src`` and prints, per command, the exit code, the sha256 of
-stdout, the sha256 of stderr and the command line.  Its output is committed
-as ``tests/golden/battery.txt``, and ``tests/test_cli.py`` runs the battery
-as a child process against that golden twice: on the host, where every line
-must match, and under ``OPENBLAS_CORETYPE=Prescott``, where only the lines the
-test lists may move; its ``--details`` and ``zoo`` digest tests compare the
-``line`` of their commands in the test process with the golden too.  To
-regenerate the golden:
+stdout, the sha256 of stderr and the command line.  Before the commands, each
+input file gets a line of the same form, ``0 <sha256 of the text> <sha256 of
+""> file <name>``.  Its output is committed as ``tests/golden/battery.txt``,
+and ``tests/test_cli.py`` runs the battery as a child process against that
+golden twice: on the host, where every line must match, and under
+``OPENBLAS_CORETYPE=Prescott``, where only the lines the test lists may move
+(no file line is among them); its ``--details`` and ``zoo`` digest tests
+compare the ``line`` of their commands in the test process with the golden
+too.  To regenerate the golden:
 
     python3 tools/battery.py > tests/golden/battery.txt
 
@@ -252,6 +254,7 @@ def battery():
         try:
             for name, text in FILES.items():
                 Path(name).write_text(text)
+                print(f"0 {_sha(text)} {_sha('')} file {name}", flush=True)
             for argv, stdin in commands():
                 print(line(argv, stdin), flush=True)
         finally:
