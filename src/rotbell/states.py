@@ -384,13 +384,13 @@ def _haar_blocks(z, dims):
     imaginary ones: the stream of one ``standard_normal`` call per block and
     part.  Returns one flat array of every block's amplitudes and the
     position of each block in it; blocks of one size sit side by side, in
-    their order in ``dims``, the smallest size first.  The amplitudes
-    ``z_re + 1j * z_im`` are built over the whole flat array at once.  Each
-    block is divided by its norm, taken by the rule of ``np.linalg.norm``
-    for a complex vector without its per-call checks: a dot of the block's
-    ``.real`` view with itself plus one of its ``.imag`` view.  For all the
-    blocks of one size, one ``matmul`` of vector stacks makes those dots (it
-    calls the same strided dot per block) and one division applies them.
+    their order in ``dims``, the smallest size first.  Each block is
+    ``z_re + 1j * z_im`` divided by ``sqrt(sum z_re^2 + sum z_im^2)``, each
+    sum taken by numpy's ``sum`` over that block's own normals, so no BLAS
+    kernel enters.  For all the blocks of one size, the sums are the row sums
+    of one C-ordered (count, d) stack, which have the bits of one ``sum`` per
+    block.  The norms are taken before the amplitudes exist, so one block
+    peaks at its normals and its amplitudes.
     """
     order = sorted(range(len(dims)), key=dims.__getitem__)  # stable
     sizes = [dims[i] for i in order]
@@ -406,28 +406,40 @@ def _haar_blocks(z, dims):
         src = np.repeat(np.array([2 * z_at[i] - a for i, a in zip(order, at)]), counts)
         src += np.arange(at[-1])  # the position in z of every real normal
         re, im = z[src], z[src + np.repeat(counts, counts)]
-    amps = 1j * im
-    amps += re  # in place: the bits of z_re + 1j * z_im, without a third array
-    parts = amps.view(float).reshape(-1, 2).T  # the .real and .imag views, as two rows
+    norms = []  # per size: its blocks' span [a, b) of the flat array, d, a column of norms
     a = 0
     for d, same in groupby(sizes):
         b = a + d * len(list(same))
-        v = parts[:, a:b].reshape(2, -1, 1, d)
-        re_dots, im_dots = (v @ v.swapaxes(2, 3)).reshape(2, -1, 1)
-        blocks = amps[a:b].reshape(-1, d)
-        blocks /= np.sqrt(re_dots + im_dots)
+        re_sq, im_sq = (np.square(x[a:b].reshape(-1, d)).sum(axis=1) for x in (re, im))
+        norms.append((a, b, d, np.sqrt(re_sq + im_sq)[:, None]))
         a = b
+    amps = 1j * im
+    amps += re  # in place: the bits of z_re + 1j * z_im, without a third array
+    for a, b, d, column in norms:
+        blocks = amps[a:b].reshape(-1, d)
+        blocks /= column
     return amps, starts
 
 
 def random_pure_state(n, rng):
-    """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized."""
+    """Haar-random pure state: i.i.d. standard complex Gaussian amplitudes, normalized.
+
+    One ``standard_normal`` call draws the 2^n real parts, then the 2^n
+    imaginary ones, and ``_haar_blocks`` normalizes them by numpy sums, so the
+    bits do not depend on the BLAS kernel.  It peaks at about twice its
+    amplitudes: the normals and the amplitudes, then the amplitudes and the
+    state's copy.
+    """
     _check_qubits(n, MAX_PURE_QUBITS, "pure-state")
     return PureState(n, _haar_blocks(rng.standard_normal(2 * _dim(n)), [_dim(n)])[0])
 
 
 def random_density_matrix(n, rng, rank=None):
-    """Random full-rank (or rank-limited) density matrix G G^dag / tr."""
+    """Random full-rank (or rank-limited) density matrix G G^dag / tr.
+
+    The Gram product G G^dag is BLAS's (a zgemm), so its bits follow the
+    OpenBLAS kernel; a numpy-summed product is many times slower.
+    """
     _check_qubits(n, MAX_DENSE_QUBITS, "dense-matrix")
     d = _dim(n)
     r = d if rank is None else rank
@@ -557,17 +569,16 @@ def _product_terms(n, k, n_terms, seeds, rows):
     amplitudes are all drawn first, and ``_haar_blocks`` builds the blocks of
     all of them as one flat array.  Each term is then one gather of its
     blocks' entries, a (k, 2^n) stack, and one product over the blocks.
-    Larger terms are drawn and placed one at a time by ``_place``, each of
-    their blocks built on its own, so that no index array over their
-    amplitudes is made.
+    Larger terms are drawn and placed one at a time: one ``_haar_blocks`` call
+    builds a term's blocks and ``_place`` places them, so that no index array
+    over the joint amplitudes is made.
     """
     draws = _term_draws(n, k, n_terms, seeds)
     rows = iter(rows)
     if _dim(n) > _GATHER_AMPLITUDES:
         for (w, part, z), row in zip(draws, rows):
-            dims = [1 << len(b) for b in part]
-            blocks = [_haar_blocks(z[2 * a:2 * (a + d)], [d])[0]
-                      for a, d in zip(accumulate(dims, initial=0), dims)]
+            flat, starts = _haar_blocks(z, [1 << len(b) for b in part])
+            blocks = [flat[a:a + (1 << len(b))] for a, b in zip(starts, part)]
             yield w, _place(blocks, part, n, row)
         return
     draws = list(draws)
@@ -601,10 +612,11 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     in ``part.blocks`` order, the block's real normals, then its imaginary
     ones, exactly as :func:`random_pure_state` draws them.  The stream is the
     same as one draw per block and part, but each term's normals come from
-    one ``standard_normal`` call.  The terms are built by ``_product_terms``:
-    up to n = 10 all blocks of all terms as one flat array, each term placed
-    by one gather of its blocks' entries and one product over them, and past
-    that one term at a time by :func:`tensor_product`'s placement.  Either
+    one ``standard_normal`` call.  The terms are built by ``_product_terms``,
+    their blocks by ``_haar_blocks``, the Haar rule of :func:`random_pure_state`:
+    up to n = 10 all blocks of all terms by one call, each term placed by one
+    gather of its blocks' entries and one product over them, and past that
+    one call per term, placed by :func:`tensor_product`'s placement.  Either
     way each term is bit for bit the tensor product of ``random_pure_state``
     blocks.  Only the joint term is validated, as one ``PureState``.  No
     2^n x 2^n matrix is built.  ``zoo`` draws the same terms through

@@ -442,8 +442,9 @@ def _terms_placed_block_by_block(n, k, n_terms, seeds):
         for b in part:  # its d real normals, then its d imaginary ones
             d = 2 ** len(b)
             amps = 1j * z[at + d:at + 2 * d] + z[at:at + d]
-            re, im = amps.real, amps.imag  # the norm rule of np.linalg.norm
-            blocks.append(PureState(len(b), amps / np.sqrt(re.dot(re) + im.dot(im))))
+            re, im = amps.real, amps.imag  # numpy's sum over the block's own normals
+            norm = np.sqrt(np.square(re).sum() + np.square(im).sum())
+            blocks.append(PureState(len(b), amps / norm))
             at += 2 * d
         terms.append((w, part, tensor_product(blocks, PartitionSpec(part)).amplitudes))
     return terms
@@ -473,6 +474,13 @@ def test_placed_terms_are_tensor_products_of_their_blocks_to_the_bit(n, gather_a
                 split += [b for b in part if b[-1] - b[0] >= len(b)]
     assert split or n < 3  # blocks whose qubits are not contiguous were placed
     states_mod._local_indices.cache_clear()  # the table of a forced n past the cut
+
+
+@pytest.mark.parametrize("n, calls", [(6, 1), (11, 4)])
+def test_blocks_are_built_by_one_haar_call_per_chunk_or_per_large_term(n, calls):
+    with mock.patch.object(states_mod, "_haar_blocks", wraps=states_mod._haar_blocks) as draw:
+        sample_product_terms(n, 2, 4, rng_seed=0)
+    assert draw.call_count == calls
 
 
 @pytest.mark.parametrize("n, k, n_terms", [(1, 1, 1), (5, 2, 3), (9, 1, 4), (9, 9, 2)])

@@ -20,11 +20,12 @@ pins this host's Python 3.11 argparse text and OpenBLAS kernel.
 
 The input files (seeded dense pure and density states, malformed and deeply
 nested JSON) are written into a temporary working directory first, so json
-reports echo the same relative paths on every run.  The state files hold the
-draws of ``random_pure_state`` and ``random_density_matrix`` from the same
-normals, with the norm and the product G G^dag summed by numpy instead of by
-BLAS, whose roundoff depends on the kernel: every input file is the same
-bytes under any OpenBLAS kernel.  BLAS runs one thread unless
+reports echo the same relative paths on every run.  The pure state files are
+``random_pure_state``'s own draws, whose norms are numpy sums.  The density
+files hold the normals of ``random_density_matrix`` with the product G G^dag
+summed by numpy (``_density``), because that function's product is BLAS's,
+whose roundoff depends on the kernel.  So every input file is the same bytes
+under any OpenBLAS kernel, as its file line pins.  BLAS runs one thread unless
 ``OPENBLAS_NUM_THREADS`` is set; set ``OPENBLAS_CORETYPE`` to compare under
 another OpenBLAS kernel.  Importing this module runs no command and sets
 nothing: the tests read its ket and case tables.
@@ -49,7 +50,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from rotbell.cli import main  # noqa: E402
-from rotbell.states import DensityMatrix, PureState, state_to_json  # noqa: E402
+from rotbell.states import DensityMatrix, random_pure_state, state_to_json  # noqa: E402
 
 FORMATS = ("json", "csv", "text")
 GHZ3 = "|000>+|111>"
@@ -121,12 +122,6 @@ ZOO_CASES = {
 }
 
 
-def _pure(n, seed):
-    """``random_pure_state(n, np.random.default_rng(seed))``, its norm summed by numpy."""
-    re, im = np.random.default_rng(seed).standard_normal(2 << n).reshape(2, 1 << n)
-    return PureState(n, (re + 1j * im) / np.sqrt(np.square(re).sum() + np.square(im).sum()))
-
-
 def _density(n, seed):
     """``random_density_matrix(n, np.random.default_rng(seed))``, its product summed by numpy."""
     d = 1 << n
@@ -138,8 +133,9 @@ def _density(n, seed):
 
 # name -> text of each input file
 FILES = {
-    "pure4.json": json.dumps(state_to_json(_pure(4, 11))),
-    "haar-pure-n10.json": json.dumps(state_to_json(_pure(10, (43, 10)))),
+    "pure4.json": json.dumps(state_to_json(random_pure_state(4, np.random.default_rng(11)))),
+    "haar-pure-n10.json": json.dumps(
+        state_to_json(random_pure_state(10, np.random.default_rng((43, 10))))),
     "dens3.json": json.dumps(state_to_json(_density(3, 5))),
     "density-n6.json": json.dumps(state_to_json(_density(6, (47, 6)))),
     "broken.json": '{"n": 2, "kind": "pure", "amplitudes": [[1, 0]',
