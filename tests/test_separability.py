@@ -259,7 +259,7 @@ def test_sample_partition_uniform(n, k):
     want = {p.as_set() for p in enumerate_partitions(n, k) if p.k == k}
     assert len(want) == stirling_second(n, k)
     rng = np.random.default_rng((n, k))
-    draws = 400 * len(want)
+    draws = 1000 * len(want)
     counts = Counter(sample_partition(n, k, rng).as_set() for _ in range(draws))
     assert set(counts) == want
     p = 1 / len(want)
