@@ -992,7 +992,7 @@ def test_analyze_large_ket_golden_output(case, fmt, capsys):
 
 # ---------------------------------------------------------------------------
 # every command of tools/battery.py pinned by the digests of its output, on
-# this host and under another OpenBLAS kernel
+# this host, under another OpenBLAS kernel and at numpy's baseline SIMD
 
 # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
 # for another host.  Every input file the battery writes must be the same bytes
@@ -1013,11 +1013,26 @@ def _by_command(text):
 _GOLDEN_LINES = _by_command((GOLDEN / "battery.txt").read_text())
 
 
+# numpy at its baseline SIMD stands in for an older CPU.  Complex products and
+# moduli round differently there, so the density files (built by complex
+# products), the oracle's grid searches and one stacked sweep may move too.
+_BASELINE_SIMD_MAY_MOVE = {
+    *(f"{command} --format {fmt}" for fmt in battery.FORMATS
+      for command in ("analyze --input dens3.json --oracle", "verify --seed 0", "verify --seed 1")),
+    "file dens3.json", "file density-n6.json",
+    "sweep --input haar-pure-n10.json --steps 10001",
+}
+_BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
 @pytest.fixture(scope="module")
 def battery_runs():
     # each run is a child, as when the battery is run by hand, so that pytest's
-    # warning filter cannot reach it; the host and Prescott runs go side by side
-    kernels = {"host": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    # warning filter cannot reach it; the three runs go side by side.  numpy only
+    # warns when it cannot disable a feature, so that child makes it an error
+    kernels = {"host": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+               "baseline SIMD": {"NPY_DISABLE_CPU_FEATURES": _BASELINE_SIMD,
+                                 "PYTHONWARNINGS": "error::ImportWarning"}}
     procs = {name: subprocess.Popen([sys.executable, str(BATTERY)], env=_child_env(**env),
                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for name, env in kernels.items()}
@@ -1041,6 +1056,13 @@ def test_battery_prints_its_golden(battery_runs):
 def test_json_goldens_hold_under_another_blas_kernel(battery_runs):
     # the --details and zoo digests below and the json of the readable goldens are battery lines
     _assert_battery_golden(battery_runs["Prescott"], _PRESCOTT_MAY_MOVE)
+
+
+def test_battery_holds_at_numpy_baseline_simd(battery_runs):
+    out, err, code = battery_runs["baseline SIMD"]
+    if code and "NPY_DISABLE_CPU_FEATURES" in err:  # this numpy cannot disable those features
+        pytest.skip(err[err.index("During parsing"):] if "During parsing" in err else err)
+    _assert_battery_golden((out, err, code), _BASELINE_SIMD_MAY_MOVE)
 
 
 # the digest cases also run in this process, under pytest's warning filter

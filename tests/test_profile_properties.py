@@ -221,6 +221,14 @@ def _restricted(n, block):
            random_pure_state(2, np.random.default_rng(2)),
            random_pure_state(1, np.random.default_rng(3))],
           PartitionSpec([[2, 5], [1, 4], [3]])))
+# sizes the draws never reach: four interleaved pure blocks at N = 12, and a
+# mixed N = 8 product whose density block is not contiguous
+@example(([random_pure_state(m, np.random.default_rng(m)) for m in (3, 4, 2, 3)],
+          PartitionSpec([[1, 5, 9], [2, 6, 10, 12], [3, 7], [4, 8, 11]])))
+@example(([random_pure_state(2, np.random.default_rng(4)),
+           random_density_matrix(3, np.random.default_rng(5)),
+           random_pure_state(3, np.random.default_rng(6))],
+          PartitionSpec([[1, 3], [2, 5, 7], [4, 6, 8]])))
 def test_tensor_product_is_the_product_over_blocks_in_block_order(placed):
     """psi[x] = prod_b a_b[x_b] and rho[x, y] = prod_b m_b[x_b, y_b], multiplied in block order."""
     blocks, part = placed

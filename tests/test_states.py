@@ -214,6 +214,26 @@ def test_tensor_product_density_inputs():
     assert np.allclose(st.matrix, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("blocks", [
+    [list(range(1, 21, 2)), list(range(2, 21, 2))],  # two interleaved 10-qubit blocks
+    [[1, 7, 12], [2, 3, 9, 15, 20], [4, 10], [5, 6, 11, 13, 17, 18], [8, 14, 16, 19]],
+    [[q] for q in range(1, 21)],
+    [[1], list(range(2, 21))],
+], ids=["2x10", "5-blocks", "20x1", "1+19"])
+def test_tensor_product_peaks_near_twice_its_joint_amplitudes(blocks):
+    # 16 MiB of joint amplitudes at N = 20: the joint array and the state's copy,
+    # next to a partial product of at most half its size that is freed first
+    rng = np.random.default_rng(0)
+    states = [random_pure_state(len(b), rng) for b in blocks]  # set-up outside
+    tracemalloc.start()
+    try:
+        tensor_product(states, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * 2**20
+
+
 def test_tensor_product_size_mismatch():
     zero = PureState(1, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="qubits"):
