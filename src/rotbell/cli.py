@@ -343,8 +343,9 @@ def _report_csv_rows(report):
     scalars = [getattr(report, h) for h in _ANALYZE_CSV_HEADER[:8]]
     rung_fields = _ANALYZE_CSV_HEADER[8:]
     if not report.thresholds:
-        return [scalars + [None] * len(rung_fields)]
-    return [scalars + [getattr(t, h) for h in rung_fields] for t in report.thresholds]
+        yield scalars + [None] * len(rung_fields)
+    for t in report.thresholds:
+        yield scalars + [getattr(t, h) for h in rung_fields]
 
 
 def _report_state(state, args, gated, meta=None, details=False):

@@ -283,27 +283,24 @@ def _place(arrays, blocks, n, out=None):
     ``arrays[i]`` (all complex amplitude vectors, or all complex matrices)
     lives on the qubits of ``blocks[i]``, block labels in increasing order
     mapping to its own qubits 1, 2, ...; ``n`` is the joint qubit count.  Each
-    array is viewed with one axis of size 2 per qubit (a matrix has its row
-    axes, then its column axes).  The blocks are chained by one outer product
-    in block order, and the last product is written into ``out`` (a fresh
-    array when None) through a transposed view of it that sends every
-    qubit's axes to their global position.  So every entry is the product of
-    one entry per block, multiplied in block order, and no second joint array
-    is made.  Nothing is checked here.
+    array is viewed with n axes, of size 2 on its own qubits and 1 on every
+    other (a matrix repeats that shape for its column axes), so that its axes
+    already sit at their qubits' joint positions.  The views are multiplied in
+    block order by broadcasting, and the last product is written into ``out``
+    (a fresh array when None).  So every entry is the product of one entry per
+    block, multiplied in block order, and no second joint array is made.
+    Nothing is checked here.
     """
     ndim = arrays[0].ndim
-    axes = []  # the joint axis of each block axis: qubit q's row axis q-1, its column axis n+q-1
-    for block in blocks:
-        for side in range(ndim):
-            axes += [side * n + q - 1 for q in block]
-    factors = [a.reshape((2,) * ndim * len(b)) for a, b in zip(arrays, blocks)]
+    views = [a.reshape([2 if q in b else 1 for q in range(1, n + 1)] * ndim)
+             for a, b in zip(arrays, blocks)]
     if out is None:
         out = np.empty((_dim(n),) * ndim, dtype=complex)
-    dst = out.reshape((2,) * ndim * n).transpose(axes)  # a view of out, axes in block order
-    if len(factors) == 1:
-        dst[...] = factors[0]
+    dst = out.reshape((2,) * ndim * n)
+    if len(views) == 1:
+        dst[...] = views[0]
     else:
-        np.multiply.outer(reduce(np.multiply.outer, factors[:-1]), factors[-1], out=dst)
+        np.multiply(reduce(np.multiply, views[:-1]), views[-1], out=dst)
     return out
 
 
@@ -312,11 +309,12 @@ def tensor_product(states, assignment):
 
     ``states[i]`` lives on the qubits of ``assignment.blocks[i]`` (block labels
     in increasing order map to the block state's own qubits 1, 2, ...).  Blocks
-    need not be contiguous.  Every entry of the joint amplitudes, or of the
-    joint matrix, is the product of one entry per block, multiplied in block
-    order.  Returns a PureState when every input is pure, otherwise a
-    DensityMatrix; the joint qubit count is checked against that type's cap
-    before anything is allocated.
+    need not be contiguous: ``_place`` views each block's array on its own
+    qubits' joint axes and multiplies the views by broadcasting, so every
+    entry of the joint amplitudes, or of the joint matrix, is the product of
+    one entry per block, multiplied in block order.  Returns a PureState when
+    every input is pure, otherwise a DensityMatrix; the joint qubit count is
+    checked against that type's cap before anything is allocated.
     """
     if not isinstance(assignment, PartitionSpec):
         assignment = PartitionSpec(assignment)
@@ -522,10 +520,13 @@ def _partition_blocks(n, k, rng):
 
 # Terms of at most this many amplitudes are placed by one gather and one product
 # each, larger ones by _place.  The gather's work grows with the block count and
-# _place's does not.  Per zoo-shaped term, gather against _place: 39 against 67 us
-# at n = 10, 79 against 98 us at n = 11, 159 against 146 us at n = 12 (one BLAS
-# thread, 2-CPU x86-64 host, numpy 2.4).  The cut stays at n = 10, where the table
-# of _local_indices holds 2 MiB; at n = 11 it would hold 8 MiB to save a fifth.
+# _place's does not.  Whole zoo-shaped terms (draws, _haar_blocks and placement;
+# two terms per sample, every k), gather against _place, median per term: 93
+# against 182 us at n = 8, 110 against 197 at n = 9, 139 against 214 at n = 10,
+# 200 against 238 at n = 11, 317 against 277 at n = 12 (one BLAS thread, 2-CPU
+# x86-64 host, numpy 2.4).  The cut stays at n = 10, where the table of
+# _local_indices holds 2 MiB; at n = 11 it would hold 8 MiB, and take 14 ms to
+# build, to save a sixth.
 _GATHER_AMPLITUDES = 1 << 10
 
 
@@ -592,7 +593,7 @@ def _product_terms(n, k, n_terms, seeds, rows):
     for (w, part, _), row in zip(draws, rows):
         b = a + len(part)
         # The stack is C-contiguous and multiplied by reduce along axis 0: block by
-        # block, in block order, as _place's chain of outer products.  reduceat, or
+        # block, in block order, as _place's broadcast product.  reduceat, or
         # an F-ordered stack, rounds differently.
         stack = flat[local[masks[a:b]] + starts[a:b]]
         yield w, np.multiply.reduce(stack, axis=0, out=row)
@@ -616,12 +617,12 @@ def sample_product_terms(n, k, n_terms, rng_seed):
     their blocks by ``_haar_blocks``, the Haar rule of :func:`random_pure_state`:
     up to n = 10 all blocks of all terms by one call, each term placed by one
     gather of its blocks' entries and one product over them, and past that
-    one call per term, placed by :func:`tensor_product`'s placement.  Either
-    way each term is bit for bit the tensor product of ``random_pure_state``
-    blocks.  Only the joint term is validated, as one ``PureState``.  No
-    2^n x 2^n matrix is built.  ``zoo`` draws the same terms through
-    ``separability._mixture_profiles`` and checks each row's terms as one
-    stack.
+    one call per term, placed by :func:`tensor_product`'s broadcast product
+    of block views.  Either way each term is bit for bit the tensor product
+    of ``random_pure_state`` blocks.  Only the joint term is validated, as
+    one ``PureState``.  No 2^n x 2^n matrix is built.  ``zoo`` draws the same
+    terms through ``separability._mixture_profiles`` and checks each row's
+    terms as one stack.
     """
     n, k = _check_sampler(n, k, n_terms)
     terms = _product_terms(n, k, n_terms, [rng_seed], [None] * n_terms)

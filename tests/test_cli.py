@@ -202,6 +202,16 @@ def test_analyze_details_built_only_for_json(fmt, capsys, monkeypatch):
     assert run_cli(capsys, *argv, "--details") == plain
 
 
+def test_analyze_csv_rows_read_the_report_only_when_csv_reads_them():
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"report.{name} read before the csv writer asked for a row")
+
+    rows = cli_mod._report_csv_rows(Unread())  # json and text never iterate it
+    with pytest.raises(AssertionError, match="before the csv writer"):
+        next(rows)
+
+
 def test_analyze_with_oracle_ok(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--ket", "|00>+|11>", "--format", "json", "--oracle"
