@@ -5,9 +5,11 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ from rotbell.witness import WitnessReport, k_sep_threshold
 GOLDEN = Path(__file__).parent / "golden"
 BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
 _spec = importlib.util.spec_from_file_location("_battery", BATTERY)
-battery = importlib.util.module_from_spec(_spec)  # its ket and case tables are the goldens' cases
+battery = importlib.util.module_from_spec(_spec)  # its case tables name the golden's commands
 _spec.loader.exec_module(battery)
 
 
@@ -958,77 +960,55 @@ def test_zoo_stacks_stay_within_the_amplitude_budget(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sweep and zoo output pinned byte for byte
+# every command of tools/battery.py pinned by tests/golden/battery.txt, its
+# digest line and, up to 16 KiB, its readable block, on this host, under
+# another OpenBLAS kernel and at numpy's baseline SIMD
+
+def _parse_battery(text):
+    """The battery's rows keyed by command, in the battery's order: [line, *block rows]."""
+    runs, rows = {}, None
+    for row in text.splitlines():
+        if row.startswith(("|", "!")):
+            if rows is None:
+                raise ValueError(f"block row with no command line above it: {row!r}")
+            rows.append(row)
+            continue
+        label = row.split(" ", 3)[3]
+        if label in runs:
+            raise ValueError(f"command {label!r} is in the battery twice")
+        runs[label] = rows = [row]
+    return runs
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(battery.GOLDEN_CASES))
-def test_sweep_zoo_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # sweep-density reads the battery's dens3.json here
-    Path("dens3.json").write_text(battery.FILES["dens3.json"])
-    code, out, _ = run_cli(capsys, *battery.GOLDEN_CASES[case], "--format", fmt)
-    golden = json.loads((GOLDEN / "sweep_zoo.json").read_text())
-    assert code == 0
-    assert out == golden[f"{case} {fmt}"]
+_GOLDEN = _parse_battery((GOLDEN / "battery.txt").read_text())
 
 
-# ---------------------------------------------------------------------------
-# analyze --ket output pinned byte for byte
+@pytest.mark.parametrize("text, message", [
+    ("0 a b ghz --n 3\n| r: 1\n0 a c ghz --n 3\n", "command 'ghz --n 3' is in the battery twice"),
+    ("| r: 1\n0 a b ghz --n 3\n", "block row with no command line above it: '| r: 1'"),
+], ids=["repeated-command", "orphan-block"])
+def test_battery_parser_refuses_a_malformed_golden(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_battery(text)
 
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(battery.GOLDEN_KETS))
-def test_analyze_ket_golden_output(case, fmt, capsys):
-    ket = battery.GOLDEN_KETS[case]
-    code, out, _ = run_cli(capsys, "analyze", "--ket", ket, "--details", "--format", fmt)
-    golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
-    assert code == 0
-    assert out == golden[f"{case} {fmt}"]
-
-
-_GOLDEN_LARGE_KETS = {
-    f"{name}-n{n}": ket for n in (12, 20) for name, ket in battery.large_kets(n).items()
-}
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(_GOLDEN_LARGE_KETS))
-def test_analyze_large_ket_golden_output(case, fmt, capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--ket", _GOLDEN_LARGE_KETS[case], "--format", fmt)
-    golden = json.loads((GOLDEN / "analyze_ket.json").read_text())
-    assert code == 0
-    assert out == golden[f"{case} {fmt}"]
-
-
-# ---------------------------------------------------------------------------
-# every command of tools/battery.py pinned by the digests of its output, on
-# this host, under another OpenBLAS kernel and at numpy's baseline SIMD
 
 # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
 # for another host.  Every input file the battery writes must be the same bytes
 # there (its file lines), and only the oracle's grid searches and verify's
-# product fixtures, which run through BLAS products, may print other digits.
+# product fixtures, which run through BLAS products, print other digits.
 _PRESCOTT_MAY_MOVE = {
     f"{command} --format {fmt}" for fmt in battery.FORMATS
     for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",
                     "verify --seed 0", "verify --seed 1")
 }
-
-
-def _by_command(text):
-    """The battery's lines keyed by their command, in the battery's order."""
-    return {line.split(" ", 3)[3]: line for line in text.splitlines()}
-
-
-_GOLDEN_LINES = _by_command((GOLDEN / "battery.txt").read_text())
-
-
 # numpy at its baseline SIMD stands in for an older CPU.  Complex products and
 # moduli round differently there, so the density files (built by complex
-# products), the oracle's grid searches and one stacked sweep may move too.
+# products), the oracle's grid searches, the quadrature of GHZ5 and one stacked
+# sweep move too.
 _BASELINE_SIMD_MAY_MOVE = {
     *(f"{command} --format {fmt}" for fmt in battery.FORMATS
-      for command in ("analyze --input dens3.json --oracle", "verify --seed 0", "verify --seed 1")),
+      for command in ("analyze --input dens3.json --oracle", "ghz --n 5 --oracle",
+                      "verify --seed 0", "verify --seed 1")),
     "file dens3.json", "file density-n6.json",
     "sweep --input haar-pure-n10.json --steps 10001",
 }
@@ -1037,26 +1017,48 @@ _BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 @pytest.fixture(scope="module")
 def battery_runs():
-    # each run is a child, as when the battery is run by hand, so that pytest's
-    # warning filter cannot reach it; the three runs go side by side.  numpy only
-    # warns when it cannot disable a feature, so that child makes it an error
-    kernels = {"host": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    # each run is a child, as when the battery is run by hand; the three runs go
+    # side by side.  The golden-output tests read the host child's blocks, so
+    # warnings are errors there, as under pytest's filter, and BLAS runs two
+    # threads, not the battery's default one.  numpy only warns when it cannot
+    # disable a feature, so the baseline-SIMD child makes that warning an error
+    kernels = {"host": {"PYTHONWARNINGS": "error", "OPENBLAS_NUM_THREADS": "2"},
+               "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
                "baseline SIMD": {"NPY_DISABLE_CPU_FEATURES": _BASELINE_SIMD,
                                  "PYTHONWARNINGS": "error::ImportWarning"}}
-    procs = {name: subprocess.Popen([sys.executable, str(BATTERY)], env=_child_env(**env),
-                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for name, env in kernels.items()}
-    # every child is reaped before the first comparison can fail
-    return {name: (*p.communicate(timeout=300), p.returncode) for name, p in procs.items()}
+    # a thread per child drains its pipes, since each prints more than a pipe
+    # holds; every child is reaped before the first comparison can fail
+    with ThreadPoolExecutor(len(kernels)) as pool:
+        runs = {name: pool.submit(subprocess.run, [sys.executable, str(BATTERY)],
+                                  env=_child_env(**env), capture_output=True, text=True,
+                                  timeout=300)
+                for name, env in kernels.items()}
+    return {name: (r.result().stdout, r.result().stderr, r.result().returncode)
+            for name, r in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def host_battery(battery_runs):
+    return _parse_battery(battery_runs["host"][0])
 
 
 def _assert_battery_golden(run, may_move=frozenset()):
+    # exactly the commands on may_move move: a list entry that stopped moving fails too
     out, err, code = run
-    lines = _by_command(out)
     assert (code, err) == (0, "")
-    assert list(lines) == list(_GOLDEN_LINES)  # the same commands in the same order
-    moved = [c for c, line in _GOLDEN_LINES.items() if lines[c] != line and c not in may_move]
-    assert not moved, "lines moved:\n" + "\n".join(moved)
+    runs = _parse_battery(out)
+    assert list(runs) == list(_GOLDEN)  # the same commands in the same order
+    moved = [c for c, rows in _GOLDEN.items() if runs[c] != rows]
+    unlisted, stale = [c for c in moved if c not in may_move], sorted(may_move - set(moved))
+    assert not unlisted, "moved:\n" + "\n".join(unlisted)
+    assert not stale, "listed as moving, but did not move:\n" + "\n".join(stale)
+
+
+def _assert_pinned(host_battery, *argv):
+    # the command's digest line and readable block from the host run, against the golden
+    label = " ".join(argv)
+    assert _GOLDEN[label][0].startswith("0 ")  # exit code 0
+    assert host_battery[label] == _GOLDEN[label]
 
 
 def test_battery_prints_its_golden(battery_runs):
@@ -1064,7 +1066,7 @@ def test_battery_prints_its_golden(battery_runs):
 
 
 def test_json_goldens_hold_under_another_blas_kernel(battery_runs):
-    # the --details and zoo digests below and the json of the readable goldens are battery lines
+    # every CLI golden is a battery block or line
     _assert_battery_golden(battery_runs["Prescott"], _PRESCOTT_MAY_MOVE)
 
 
@@ -1075,50 +1077,52 @@ def test_battery_holds_at_numpy_baseline_simd(battery_runs):
     _assert_battery_golden((out, err, code), _BASELINE_SIMD_MAY_MOVE)
 
 
-# the digest cases also run in this process, under pytest's warning filter
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(battery.GOLDEN_CASES))
+def test_sweep_zoo_golden_output(case, fmt, host_battery):
+    _assert_pinned(host_battery, *battery.GOLDEN_CASES[case], "--format", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(battery.GOLDEN_KETS))
+def test_analyze_ket_golden_output(case, fmt, host_battery):
+    _assert_pinned(host_battery, "analyze", "--ket", battery.GOLDEN_KETS[case], "--details",
+                   "--format", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(battery.LARGE_KETS))
+def test_analyze_large_ket_golden_output(case, fmt, host_battery):
+    _assert_pinned(host_battery, "analyze", "--ket", battery.LARGE_KETS[case], "--format", fmt)
+
+
 @pytest.mark.parametrize("case", sorted(battery.DETAILS_CASES))
-def test_analyze_details_digest(case, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    for name, text in battery.FILES.items():
-        Path(name).write_text(text)
-    argv = ["analyze", *battery.DETAILS_CASES[case], "--details", "--format", "json"]
-    assert battery.line(argv) == _GOLDEN_LINES[" ".join(argv)]
+def test_analyze_details_digest(case, host_battery):
+    _assert_pinned(host_battery, "analyze", *battery.DETAILS_CASES[case], "--details",
+                   "--format", "json")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(battery.ZOO_CASES))
-def test_zoo_digest(case, fmt):
-    argv = ["zoo", *battery.ZOO_CASES[case], "--format", fmt]
-    assert battery.line(argv) == _GOLDEN_LINES[" ".join(argv)]
-
-
-# ---------------------------------------------------------------------------
-# oracle paths pinned byte for byte: verify's product fixtures and every
-# analyze/ghz --oracle route through the brute-force cross-checks
-
-_GOLDEN_ORACLE_CASES = {
-    "verify-seed0": ("verify", "--seed", "0"),
-    **{f"ghz{n}-oracle": ("ghz", "--n", str(n), "--oracle") for n in range(1, 6)},
-    "pure4-oracle": ("analyze", "--input", "pure4.json", "--oracle"),
-    "mixed3-oracle": ("analyze", "--input", "dens3.json", "--oracle"),
-}
+def test_zoo_digest(case, fmt, host_battery):
+    _assert_pinned(host_battery, "zoo", *battery.ZOO_CASES[case], "--format", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("case", sorted(_GOLDEN_ORACLE_CASES))
-def test_oracle_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    for name in ("pure4.json", "dens3.json"):  # the battery's files, the same bytes on any kernel
-        Path(name).write_text(battery.FILES[name])
-    code, out, _ = run_cli(capsys, *_GOLDEN_ORACLE_CASES[case], "--format", fmt)
-    golden = json.loads((GOLDEN / "oracle.json").read_text())
-    assert code == 0
-    assert out == golden[f"{case} {fmt}"]
+@pytest.mark.parametrize("case", sorted(battery.ORACLE_CASES))
+def test_oracle_golden_output(case, fmt, host_battery):
+    _assert_pinned(host_battery, *battery.ORACLE_CASES[case], "--format", fmt)
+
+
+@pytest.mark.parametrize("name", ["pure4", "dens3"])
+def test_analyze_file_details_golden_output(name, host_battery):
+    _assert_pinned(host_battery, "analyze", "--input", f"{name}.json", "--details",
+                   "--format", "json")
 
 
 # ---------------------------------------------------------------------------
 # wire format pinned byte for byte: the [re, im] pairs of state_to_json, the
-# terms of render_ket, and the --details profile and tensor of file input
+# terms of render_ket
 
 _WIRE_STATES = {
     **{f"pure{n}": random_pure_state(n, np.random.default_rng((23, n))) for n in range(1, 5)},
@@ -1139,15 +1143,3 @@ def test_state_to_json_golden_output(name):
 def test_render_ket_golden_output(name):
     golden = json.loads((GOLDEN / "wire.json").read_text())
     assert render_ket(_WIRE_STATES[name]) == golden[f"ket {name}"]
-
-
-@pytest.mark.parametrize("name", ["pure4", "dens3"])
-def test_analyze_file_details_golden_output(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # json reports echo the relative input path
-    Path(f"{name}.json").write_text(battery.FILES[f"{name}.json"])
-    code, out, _ = run_cli(
-        capsys, "analyze", "--input", f"{name}.json", "--details", "--format", "json"
-    )
-    golden = json.loads((GOLDEN / "wire.json").read_text())
-    assert code == 0
-    assert out == golden[f"details {name}"]

@@ -1,22 +1,34 @@
-"""Byte-identity battery: a fixed list of CLI commands, one digest line per command.
+"""Byte-identity battery: a fixed list of CLI commands, the one pin of CLI output.
 
 Runs every command in this process through ``rotbell.cli.main`` from the
-checkout's own ``src`` and prints, per command, the exit code, the sha256 of
-stdout, the sha256 of stderr and the command line.  Before the commands, each
-input file gets a line of the same form, ``0 <sha256 of the text> <sha256 of
-""> file <name>``.  Its output is committed as ``tests/golden/battery.txt``,
-and ``tests/test_cli.py`` runs the battery as a child process against that
-golden twice: on the host, where every line must match, and under
-``OPENBLAS_CORETYPE=Prescott``, where only the lines the test lists may move
-(no file line is among them); its ``--details`` and ``zoo`` digest tests
-compare the ``line`` of their commands in the test process with the golden
-too.  To regenerate the golden:
+checkout's own ``src`` and prints, per command, a line with the exit code, the
+sha256 of stdout, the sha256 of stderr and the command line.  Under that line
+comes the command's block: its exact stdout, each line behind ``| ``, then its
+exact stderr, each line behind ``! `` (an empty line is a bare ``|`` or
+``!``), whenever the two together hold at most 16 KiB and end their last
+lines.  Fourteen outputs are larger and pinned by their digests alone: the
+json of ``analyze --details`` on the N = 12 and 16 kets and on
+``haar-pure-n10.json``, the ``sweep`` of the 24-qubit ket in every format, the
+10,001-step sweep, and the json of ``zoo --nmin 30 --nmax 32`` and of
+``verify`` at both seeds.  Before the commands, each input file gets a line
+of the same form, ``0 <sha256 of the text> <sha256 of ""> file <name>``, and
+no block.
+
+Its output is committed as ``tests/golden/battery.txt``, and
+``tests/test_cli.py`` runs the battery as three child processes and compares
+each with that golden: on the host, with warnings as errors and two BLAS
+threads, where every line and block must match, and under
+``OPENBLAS_CORETYPE=Prescott`` and at numpy's baseline SIMD, where exactly
+the commands the test lists move (no other, and each of them).  The
+golden-output tests read their commands' rows from the host run.  To
+regenerate the golden, the one pin of CLI output:
 
     python3 tools/battery.py > tests/golden/battery.txt
 
-Regenerate it only for an intended change of output, in the same commit, and
-list the commands whose lines moved in CHANGES.md.  Like the other goldens it
-pins this host's Python 3.11 argparse text and OpenBLAS kernel.
+Regenerate it only for an intended change of output, in the same commit; its
+diff shows each moved digit, and CHANGES.md lists the commands that moved.
+Like the other goldens it pins this host's Python 3.11 argparse text and
+OpenBLAS kernel.
 
 The input files (seeded dense pure and density states, malformed and deeply
 nested JSON) are written into a temporary working directory first, so json
@@ -28,7 +40,7 @@ whose roundoff depends on the kernel.  So every input file is the same bytes
 under any OpenBLAS kernel, as its file line pins.  BLAS runs one thread unless
 ``OPENBLAS_NUM_THREADS`` is set; set ``OPENBLAS_CORETYPE`` to compare under
 another OpenBLAS kernel.  Importing this module runs no command and sets
-nothing: the tests read its ket and case tables.
+nothing: the tests read its case tables, which name their commands.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ FORMATS = ("json", "csv", "text")
 GHZ3 = "|000>+|111>"
 COMPLEX = "(0.3+0.7i)*|0110> - (1.2-0.4i)*|1001> + 0.5*|0000>"
 
-# the kets of analyze --ket --details, pinned readably in tests/golden/analyze_ket.json
+# the kets of analyze --ket --details, by name
 GOLDEN_KETS = {
     "ghz-type": "(0.6+0.2i)*|0000> - 0.8*|1111>",
     "w": "|001> + |010> + |100>",
@@ -86,6 +98,10 @@ def large_kets(n):
     }
 
 
+# the kets of analyze --ket at N = 12 and 20, by name
+LARGE_KETS = {f"{name}-n{n}": ket for n in (12, 20) for name, ket in large_kets(n).items()}
+
+
 def _ket(n, terms):
     """A ket on n qubits with the given (coefficient, basis index) terms."""
     return " + ".join(f"{c}*|{x:0{n}b}>" for c, x in terms)
@@ -96,7 +112,7 @@ KET40 = _ket(40, [("1", 0), ("1", (1 << 40) - 1)])
 # its 1e-200 term's profile element underflows to 0 in the smallest steps of a sweep, the other not
 UNDERFLOW = "(0.3+0.1i)*|000> + 1e-200*|111> + 0.5*|001> + (0+0.7i)*|110>"
 
-# the sweep, zoo and ghz commands pinned readably in tests/golden/sweep_zoo.json
+# sweep, zoo and ghz commands, by name
 GOLDEN_CASES = {
     "sweep-ghz3": ("sweep", "--ket", GHZ3, "--steps", "11"),
     "sweep-complex": ("sweep", "--ket", COMPLEX, "--vmin", "0.2", "--vmax", "0.9", "--steps", "8"),
@@ -106,8 +122,15 @@ GOLDEN_CASES = {
     "zoo-n8-10": ("zoo", "--nmin", "8", "--nmax", "10", "--samples", "5", "--seed", "12"),
     **{f"ghz-n{n}": ("ghz", "--n", str(n)) for n in (6, 7, 20, 26)},
 }
+# the brute-force oracle routes, by name: verify's product fixtures and analyze/ghz --oracle
+ORACLE_CASES = {
+    "pure4-oracle": ("analyze", "--input", "pure4.json", "--oracle"),
+    "mixed3-oracle": ("analyze", "--input", "dens3.json", "--oracle"),
+    **{f"ghz{n}-oracle": ("ghz", "--n", str(n), "--oracle") for n in range(1, 6)},
+    "verify-seed0": ("verify", "--seed", "0"),
+}
 
-# the sources of analyze --details whose json output tests/test_cli.py pins by digest
+# the sources of analyze --details at N = 6..16, by name
 DETAILS_CASES = {
     **{f"{name}-n{n}": ("--ket", ket) for n in (12, 16) for name, ket in large_kets(n).items()},
     **{name: ("--input", f"{name}.json") for name in ("haar-pure-n10", "density-n6")},
@@ -151,29 +174,27 @@ def commands():
     runs += [([cmd, "--help"], None) for cmd in ("analyze", "ghz", "sweep", "zoo", "verify")]
     for fmt in FORMATS:
         f = ["--format", fmt]
-        for ket in (GHZ3, COMPLEX, GOLDEN_KETS["w"], KET24, KET40,
-                    *large_kets(12).values(), *large_kets(20).values()):
+        for ket in (GHZ3, COMPLEX, GOLDEN_KETS["w"], KET24, KET40, *LARGE_KETS.values()):
             runs.append((["analyze", "--ket", ket, *f], None))
         for ket in (COMPLEX, *GOLDEN_KETS.values()):
             runs.append((["analyze", "--ket", ket, "--details", *f], None))
         runs += [(["analyze", *src, "--details", *f], None) for src in DETAILS_CASES.values()]
         runs += [
             (["analyze", "--ket", GHZ3, "--oracle", *f], None),
-            (["analyze", "--input", "pure4.json", "--oracle", *f], None),
-            (["analyze", "--input", "dens3.json", "--oracle", *f], None),
             (["analyze", "--input", "-", *f], FILES["dens3.json"]),
-            (["ghz", "--n", "3", "--oracle", *f], None),
             (["sweep", "--ket", KET24, "--steps", "1001", *f], None),
             (["sweep", "--input", "haar-pure-n10.json", "--steps", "101", *f], None),
             (["sweep", "--input", "-", "--steps", "5", *f], FILES["pure4.json"]),
             (["zoo", "--nmin", "1", "--nmax", "7", "--samples", "5", "--seed", "3", *f], None),
             (["zoo", "--nmin", "11", "--nmax", "13", "--samples", "3", *f], None),
             (["zoo", "--nmin", "30", "--nmax", "32", "--samples", "0", *f], None),
-            (["verify", "--seed", "0", *f], None),
             (["verify", "--seed", "1", *f], None),
         ]
+        runs += [([*argv, *f], None) for argv in ORACLE_CASES.values()]
         runs += [([*argv, *f], None) for argv in GOLDEN_CASES.values()]
         runs += [(["zoo", *argv, *f], None) for argv in ZOO_CASES.values()]
+    runs += [(["analyze", "--input", name, "--details", "--format", "json"], None)
+             for name in ("pure4.json", "dens3.json")]
     runs += [
         (["sweep", "--input", "haar-pure-n10.json", "--steps", "10001"], None),  # across chunks
         (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
@@ -236,11 +257,19 @@ def run(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-def line(argv, stdin=None):
-    """The battery's line of one command, run in this process and working directory."""
+def _block(out, err):
+    """The readable rows under a command, or none past 16 KiB or without a final newline."""
+    if len((out + err).encode()) > 16 * 1024 or not all(s.endswith("\n") for s in (out, err) if s):
+        return []
+    return [mark + (" " + row if row else "")
+            for mark, text in (("|", out), ("!", err)) for row in text.split("\n")[:-1]]
+
+
+def _pin(argv, stdin):
+    """The battery's rows of one command: its digest line, then its block."""
     code, out, err = run(argv, stdin)
     label = " ".join(argv) + (" < stdin" if stdin is not None else "")
-    return f"{code} {_sha(out)} {_sha(err)} {label}"
+    return [f"{code} {_sha(out)} {_sha(err)} {label}", *_block(out, err)]
 
 
 def battery():
@@ -252,7 +281,7 @@ def battery():
                 Path(name).write_text(text)
                 print(f"0 {_sha(text)} {_sha('')} file {name}", flush=True)
             for argv, stdin in commands():
-                print(line(argv, stdin), flush=True)
+                print(*_pin(argv, stdin), sep="\n", flush=True)
         finally:
             os.chdir(here)
 
