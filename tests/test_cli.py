@@ -997,9 +997,10 @@ def test_battery_parser_refuses_a_malformed_golden(text, message):
 # there (its file lines), and only the oracle's grid searches and verify's
 # product fixtures, which run through BLAS products, print other digits.
 _PRESCOTT_MAY_MOVE = {
-    f"{command} --format {fmt}" for fmt in battery.FORMATS
-    for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",
-                    "verify --seed 0", "verify --seed 1")
+    *(f"{command} --format {fmt}" for fmt in battery.FORMATS
+      for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",
+                      "verify --seed 0", "verify --seed 1")),
+    "analyze --input pure4.json --oracle --details --format json",
 }
 # numpy at its baseline SIMD stands in for an older CPU.  Complex products and
 # moduli round differently there, so the density files (built by complex

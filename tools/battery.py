@@ -195,6 +195,8 @@ def commands():
         runs += [(["zoo", *argv, *f], None) for argv in ZOO_CASES.values()]
     runs += [(["analyze", "--input", name, "--details", "--format", "json"], None)
              for name in ("pure4.json", "dens3.json")]
+    runs += [(["analyze", *src, "--oracle", "--details", "--format", "json"], None)
+             for src in (("--ket", GHZ3), ("--input", "pure4.json"))]
     runs += [
         (["sweep", "--input", "haar-pure-n10.json", "--steps", "10001"], None),  # across chunks
         (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
