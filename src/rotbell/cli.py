@@ -351,10 +351,7 @@ def _report_csv_rows(report):
 def _report_state(state, args, gated, meta=None, details=False):
     """Classify one profile, add its details and cross-check on request, print.
 
-    The state's one profile is built here: the report, the details and the
-    oracle read it, so ``--oracle`` certifies the profile the report
-    printed against the state's dense trace.  ``gated``: is a gap below
-    e_max a failure?
+    ``gated``: is a gap below e_max a failure?
     """
     prof = antidiagonal_profile(state)
     report = classify(prof)
@@ -370,7 +367,7 @@ def _report_state(state, args, gated, meta=None, details=False):
     lines = _report_lines(report, meta)
     oracle_report = None
     if args.oracle:
-        oracle_report = cross_validate(state, config=_ORACLE_CONFIG, profile=prof)
+        oracle_report = cross_validate(state, config=_ORACLE_CONFIG)
         payload["oracle"] = oracle_report.to_dict()
         tables.append(_oracle_table([("state", oracle_report, gated)]))
         lines = chain(lines, (

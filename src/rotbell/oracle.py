@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import (
-    _closed_forms,
     _columns,
     _e_values,
     _evaluate,
@@ -34,6 +33,8 @@ from .correlation import (
     correlation_tensor,
     correlation_value,
     correlation_value_trace,
+    e_max,
+    norm_squared_antidiagonal,
     norm_squared_tensor,
 )
 from .states import DensityMatrix, KetParse, PureState, _is_count
@@ -270,21 +271,14 @@ def _rel_diff(a, b):
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def cross_validate(state, config=None, *, profile=None):
+def cross_validate(state, config=None):
     """Run every closed form against its brute-force counterpart.
-
-    ``profile`` is the profile under test: the caller's already checked
-    ``AntidiagonalProfile`` of ``state``, such as the one a report printed,
-    or None to build it from ``state``.  One of another qubit count is
-    refused before any check runs.  Every check but the trace runs on that
-    profile alone, and the trace check compares it with ``state``, so a
-    profile that is not the state's fails there.
 
     Checks, each flagged pass/fail in the report (failures are report
     content, never exceptions):
 
-    * profile evaluation vs direct operator trace of ``state`` at 100 seeded
-      random settings (tolerance 1e-12);
+    * profile evaluation vs direct operator trace at 100 seeded random
+      settings (tolerance 1e-12);
     * antidiagonal norm vs tensor norm (relative 1e-9);
     * antidiagonal norm vs trapezoid quadrature (relative 1e-9);
     * grid maximum at most e_max + 1e-9 (soundness);
@@ -296,22 +290,20 @@ def cross_validate(state, config=None, *, profile=None):
     n = state.n_qubits
     if n > 6:
         raise ValueError(f"cross-validation is dense and grid-heavy; n={n} > 6 refused")
-    # built when not given: for a KetParse, the sparse profile classify reads
-    prof = antidiagonal_profile(state) if profile is None else profile
-    if prof.n_qubits != n:
-        raise ValueError(f"the profile has {prof.n_qubits} qubits, the state {n}")
+    prof = antidiagonal_profile(state)  # for a KetParse, the sparse profile classify reads
     if isinstance(state, KetParse):  # densified past the n <= 6 rule, for the trace only
         state = state.state
     rng = np.random.default_rng(_TRACE_SETTINGS_SEED)
     settings = rng.uniform(0.0, 2.0 * np.pi, size=(_TRACE_SETTINGS, n))
     trace_dev = float(np.max(np.abs(correlation_value(prof, settings)
                                     - correlation_value_trace(state, settings))))
-    [em], [ns_anti], _ = _closed_forms(n, prof.values[None])
+    ns_anti = norm_squared_antidiagonal(prof)
     ns_tens = norm_squared_tensor(correlation_tensor(prof))
     ns_quad = norm_squared_quadrature(prof)
     dual_rel = _rel_diff(ns_anti, ns_tens)
     quad_rel = _rel_diff(ns_anti, ns_quad)
     grid = maximize_grid(prof, config)
+    em = e_max(prof)
     gap = em - grid.value
     checks = (
         CheckResult("trace_equivalence", trace_dev, TRACE_EQUIV_TOL, trace_dev <= TRACE_EQUIV_TOL),

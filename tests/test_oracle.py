@@ -498,31 +498,6 @@ def test_cross_validate_refuses_n7_before_any_check(monkeypatch):
         cross_validate(random_pure_state(7, np.random.default_rng(0)))
 
 
-def _random_ket_parse(n, rng):
-    named = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
-    return parse_ket_info(" + ".join(
-        f"({rng.normal():.6f}{rng.normal():+.6f}i)*|{i:0{n}b}>" for i in named))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("make", [
-    lambda n, rng: make_ghz(n), random_pure_state, random_density_matrix, _random_ket_parse,
-], ids=["ghz", "haar-pure", "random-mixed", "ket-parse"])
-def test_cross_validate_given_the_profile_it_would_build_reports_the_same(make, n):
-    state = make(n, np.random.default_rng((n, 34)))
-    assert (cross_validate(state, profile=antidiagonal_profile(state)).to_dict()
-            == cross_validate(state).to_dict())
-
-
-def test_cross_validate_refuses_a_profile_of_another_size_before_any_check(monkeypatch):
-    def never(state, angles):
-        raise AssertionError("the trace check ran before the profile's size was checked")
-
-    monkeypatch.setattr(oracle_mod, "correlation_value_trace", never)
-    with pytest.raises(ValueError, match="the profile has 2 qubits, the state 3"):
-        cross_validate(make_ghz(3), profile=antidiagonal_profile(make_ghz(2)))
-
-
 def test_cross_validate_detects_sign_mutation(monkeypatch):
     # regression guard: a flipped sign in the antidiagonal evaluation path must
     # trip the trace-equivalence check
