@@ -997,15 +997,27 @@ def test_battery_parser_refuses_a_malformed_golden(text, message):
         _parse_battery(text)
 
 
+def _grids(moves):
+    """Grid probe labels, from the points per axis of each state's configs that move."""
+    configs = {c[0]: " ".join(map(str, c)) for c in battery.GRID_CONFIGS}
+    return {f"grid {name} {configs[p]}" for name, points in moves.items() for p in points}
+
+
 # OpenBLAS picks its kernels by CPU; forcing the oldest one on a child stands in
 # for another host.  Every input file the battery writes must be the same bytes
-# there (its file lines), and only the oracle's grid searches and verify's
-# product fixtures, which run through BLAS products, print other digits.
+# there (its file lines), and only what runs through BLAS products prints other
+# digits: the oracle's grid searches (its CLI routes, the grid probes and demo
+# 04), verify's product fixtures and the density wire states, which
+# random_density_matrix builds by one.
 _PRESCOTT_MAY_MOVE = {
     *(f"{command} --format {fmt}" for fmt in battery.FORMATS
       for command in ("analyze --input pure4.json --oracle", "analyze --input dens3.json --oracle",
                       "verify --seed 0", "verify --seed 1")),
     "analyze --input pure4.json --oracle --details --format json",
+    *_grids({"pure2": (13, 32, 64), "pure4": (24,), "pure5": (13, 24, 32),
+             "mixed1": (8, 13, 24, 32, 64), "mixed2": (8, 13, 24, 32, 64), "mixed3": (8, 24, 32),
+             "mixed4": (13, 24, 32, 64), "mixed5": (13, 64)}),
+    "wire density1", "wire density2", "wire density3", "demo 04_brute_force_checks.py",
 }
 # numpy at its baseline SIMD stands in for an older CPU.  Complex products and
 # moduli round differently there, so the density files (built by complex
@@ -1017,6 +1029,8 @@ _BASELINE_SIMD_MAY_MOVE = {
                       "verify --seed 0", "verify --seed 1")),
     "file dens3.json", "file density-n6.json",
     "sweep --input haar-pure-n10.json --steps 10001",
+    *_grids({"pure2": (24, 32, 64), "pure4": (13, 24), "pure5": (32, 64), "mixed3": (8, 13, 24),
+             "mixed5": (13, 24)}),
 }
 _BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 

@@ -1,4 +1,4 @@
-"""Byte-identity battery: a fixed list of CLI commands, the one pin of CLI output.
+"""Byte-identity battery: a fixed list of CLI commands and library probes, the one golden.
 
 Runs every command in this process through ``rotbell.cli.main`` from the
 checkout's own ``src`` and prints, per command, a line with the exit code, the
@@ -14,21 +14,29 @@ json of ``analyze --details`` on the N = 12 and 16 kets and on
 of the same form, ``0 <sha256 of the text> <sha256 of ""> file <name>``, and
 no block.
 
-Its output is committed as ``tests/golden/battery.txt``, and
-``tests/test_cli.py`` runs the battery as three child processes and compares
-each with that golden: on the host, with warnings as errors and two BLAS
-threads, where every line and block must match, and under
-``OPENBLAS_CORETYPE=Prescott`` and at numpy's baseline SIMD, where exactly
-the commands the test lists move (no other, and each of them).  The
-golden-output tests read their commands' rows from the host run.  To
-regenerate the golden, the one pin of CLI output:
+After the commands come the library probes, each with a line and block of
+the same form under its label: ``grid <state> <points> <rounds> <budget>``
+(the repr of ``maximize_grid``'s value and setting angles on a seeded pure or
+mixed state, or its ``BudgetExceededError``), ``wire <state>`` (the compact
+``json.dumps(state_to_json(s))`` and, for a pure state, ``render_ket(s)``),
+``partitions n<n> k<k>`` (40 seeded ``sample_partition`` draws, one per row)
+and ``demo <script>`` (the stdout of each script in ``demos/``, run in this
+process).
+
+Its output is committed as ``tests/golden/battery.txt``, and the test suite
+runs the battery as three child processes and compares each with that golden:
+on the host, with warnings as errors and two BLAS threads, where every line
+and block must match, and under ``OPENBLAS_CORETYPE=Prescott`` and at numpy's
+baseline SIMD, where exactly the entries ``tests/test_cli.py`` lists move (no
+other, and each of them).  The golden-output tests read their entries' rows
+from the host run.  To regenerate the golden, the one pin of the CLI's and
+the library's output:
 
     python3 tools/battery.py > tests/golden/battery.txt
 
 Regenerate it only for an intended change of output, in the same commit; its
-diff shows each moved digit, and CHANGES.md lists the commands that moved.
-Like the other goldens it pins this host's Python 3.11 argparse text and
-OpenBLAS kernel.
+diff shows each moved digit, and CHANGES.md lists the entries that moved.
+It pins this host's Python 3.11 argparse text and OpenBLAS kernel.
 
 The input files (seeded dense pure and density states, malformed and deeply
 nested JSON) are written into a temporary working directory first, so json
@@ -40,7 +48,7 @@ whose roundoff depends on the kernel.  So every input file is the same bytes
 under any OpenBLAS kernel, as its file line pins.  BLAS runs one thread unless
 ``OPENBLAS_NUM_THREADS`` is set; set ``OPENBLAS_CORETYPE`` to compare under
 another OpenBLAS kernel.  Importing this module runs no command and sets
-nothing: the tests read its case tables, which name their commands.
+nothing: the tests read its case tables, which name their entries.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +71,18 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from rotbell.cli import main  # noqa: E402
-from rotbell.states import DensityMatrix, random_pure_state, state_to_json  # noqa: E402
+from rotbell.oracle import BudgetExceededError, GridSearchConfig, maximize_grid  # noqa: E402
+from rotbell.separability import sample_partition  # noqa: E402
+from rotbell.states import (  # noqa: E402
+    DensityMatrix,
+    PureState,
+    random_density_matrix,
+    random_pure_state,
+    render_ket,
+    state_to_json,
+)
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 FORMATS = ("json", "csv", "text")
 GHZ3 = "|000>+|111>"
@@ -236,14 +256,87 @@ def commands():
     return runs
 
 
+# grid searches from the floor of 8 points per axis up to 64 points and 10^7
+# evaluations, as (points_per_axis, refinement_rounds, max_evaluations)
+GRID_CONFIGS = [(8, 0, 512), (13, 1, 100_000), (24, 3, 2_000_000), (32, 3, 4_000_000),
+                (64, 3, 10_000_000)]
+
+
+def _grid_state(name):
+    kind, n = name[:-1], int(name[-1])
+    if kind == "pure":
+        return random_pure_state(n, np.random.default_rng((31, n)))
+    return random_density_matrix(n, np.random.default_rng((37, n)))
+
+
+def _grid(name, config):
+    try:
+        value, setting = maximize_grid(_grid_state(name), GridSearchConfig(*config))
+    except BudgetExceededError as exc:
+        print(f"BudgetExceededError: {exc}")
+        return 0
+    print("value", repr(value))
+    print("setting", *(repr(float(x)) for x in setting))
+    return 0
+
+
+# the wire format: the [re, im] pairs of state_to_json and the terms of render_ket
+WIRE_STATES = {
+    **{f"pure{n}": random_pure_state(n, np.random.default_rng((23, n))) for n in range(1, 5)},
+    **{f"density{n}": random_density_matrix(n, np.random.default_rng((29, n)))
+       for n in range(1, 4)},
+    "signed-zeros": PureState(2, [complex(0.6, -0.0), complex(-0.0, 0.0),
+                                  complex(-0.0, -0.0), complex(-0.0, -0.8)]),
+}
+
+
+def _wire(state):
+    print(json.dumps(state_to_json(state)))
+    if isinstance(state, PureState):
+        print(render_ket(state))
+    return 0
+
+
+def _partitions(n, k, draws=40):
+    """The blocks of ``draws`` seeded sample_partition calls, one partition per row."""
+    rng = np.random.default_rng((n, k))
+    for _ in range(draws):
+        print("|".join(",".join(map(str, b)) for b in sample_partition(n, k, rng).blocks))
+    return 0
+
+
+def _demo(path):
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def probes():
+    """The library's pins after the commands: (label, call that prints them and returns 0)."""
+    runs = [(f"grid {name} {' '.join(map(str, config))}",
+             lambda name=name, config=config: _grid(name, config))
+            for name in (f"{kind}{n}" for kind in ("pure", "mixed") for n in range(1, 6))
+            for config in GRID_CONFIGS]
+    runs += [(f"wire {name}", lambda state=state: _wire(state))
+             for name, state in WIRE_STATES.items()]
+    runs += [(f"partitions n{n} k{k}", lambda n=n, k=k: _partitions(n, k))
+             for n in range(1, 9) for k in range(1, n + 1)]
+    runs += [(f"demo {path.name}", lambda path=path: _demo(path))
+             for path in sorted(DEMOS.glob("*.py"))]
+    return runs
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv, stdin):
-    """Exit code, stdout and stderr of one in-process command.
+def label(argv, stdin):
+    return " ".join(argv) + (" < stdin" if stdin is not None else "")
 
-    An exception that escapes ``main`` (a traceback, in a real process) is
+
+def run(call, stdin=None):
+    """Exit code, stdout and stderr of one in-process call, such as ``main(argv)``.
+
+    An exception that escapes the call (a traceback, in a real process) is
     reported in place of the exit code as ``raised:<type>``.
     """
     out, err = io.StringIO(), io.StringIO()
@@ -251,7 +344,7 @@ def run(argv, stdin):
     sys.stdin = io.StringIO(stdin if stdin is not None else "")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = call()
     except Exception as exc:
         code = f"raised:{type(exc).__name__}"
     finally:
@@ -267,11 +360,10 @@ def _block(out, err):
             for mark, text in (("|", out), ("!", err)) for row in text.split("\n")[:-1]]
 
 
-def _pin(argv, stdin):
-    """The battery's rows of one command: its digest line, then its block."""
-    code, out, err = run(argv, stdin)
-    label = " ".join(argv) + (" < stdin" if stdin is not None else "")
-    return [f"{code} {_sha(out)} {_sha(err)} {label}", *_block(out, err)]
+def _pin(name, call, stdin=None):
+    """The battery's rows of one call: its digest line, then its block."""
+    code, out, err = run(call, stdin)
+    return [f"{code} {_sha(out)} {_sha(err)} {name}", *_block(out, err)]
 
 
 def battery():
@@ -283,7 +375,9 @@ def battery():
                 Path(name).write_text(text)
                 print(f"0 {_sha(text)} {_sha('')} file {name}", flush=True)
             for argv, stdin in commands():
-                print(*_pin(argv, stdin), sep="\n", flush=True)
+                print(*_pin(label(argv, stdin), lambda: main(argv), stdin), sep="\n", flush=True)
+            for name, call in probes():
+                print(*_pin(name, call), sep="\n", flush=True)
         finally:
             os.chdir(here)
 
