@@ -1,15 +1,13 @@
 import csv
-import importlib.util
 import io
+import itertools
 import json
 import logging
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,30 +31,18 @@ from rotbell.states import (
     parse_ket_info,
     random_density_matrix,
     random_pure_state,
-    render_ket,
     state_to_json,
 )
 from rotbell.witness import WitnessReport, k_sep_threshold
 
-GOLDEN = Path(__file__).parent / "golden"
-BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
-_spec = importlib.util.spec_from_file_location("_battery", BATTERY)
-battery = importlib.util.module_from_spec(_spec)  # its case tables name the golden's commands
-_spec.loader.exec_module(battery)
+from conftest import GOLDEN, battery, child_env
+
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _child_env(**extra):
-    """This process's environment, with the checkout's ``src`` first on PYTHONPATH."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return {**env, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +300,7 @@ _SEQUENCE = [
 def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     procs = [subprocess.Popen([sys.executable, "-m", "rotbell.cli", *argv],
-                              env=_child_env(COLUMNS="80"), stdout=subprocess.PIPE,
+                              env=child_env(COLUMNS="80"), stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True)
              for argv in _SEQUENCE]
     fresh = []
@@ -343,7 +329,7 @@ def test_determinism_byte_identical(capsys):
 
 def test_oracle_debug_record_leaves_stdout_alone(capsys, caplog):
     argv = ("analyze", "--ket", "|000>+|111>", "--oracle", "--format", "json")
-    fresh = subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=_child_env(),
+    fresh = subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=child_env(),
                            capture_output=True, text=True, timeout=120)
     assert (fresh.returncode, fresh.stderr) == (0, "")  # nothing on stderr by default
     with caplog.at_level(logging.DEBUG, logger="rotbell.oracle"):
@@ -353,14 +339,11 @@ def test_oracle_debug_record_leaves_stdout_alone(capsys, caplog):
         "columns_per_round=576 kept_columns=576,576,576,576"]  # GHZ: every |z| ties
 
 
-_UNDERFLOW_KET = "(0.3+0.1i)*|000> + 1e-200*|111> + 0.5*|001> + (0+0.7i)*|110>"
-
-
 def test_witness_debug_record_per_stack_leaves_stdout_alone(capsys, caplog):
     # the 1e-200 term's element underflows to 0 in the three smallest steps only
-    sweep = ("sweep", "--ket", _UNDERFLOW_KET, "--vmin", "0", "--vmax", "1e-123", "--steps", "5")
+    sweep = ("sweep", "--ket", battery.UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5")
     zoo = ("zoo", "--nmin", "2", "--nmax", "2", "--samples", "3", "--format", "json")
-    fresh = [subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=_child_env(),
+    fresh = [subprocess.run([sys.executable, "-m", "rotbell.cli", *argv], env=child_env(),
                             capture_output=True, text=True, timeout=120) for argv in (sweep, zoo)]
     assert [(f.returncode, f.stderr) for f in fresh] == [(0, "")] * 2  # silent by default
     with caplog.at_level(logging.DEBUG, logger="rotbell.witness"):
@@ -767,7 +750,7 @@ def _run_in_small_address_space(*argv, program=("-m", "rotbell.cli")):
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
     # one BLAS thread: the limit measures the program, not the host's thread-pool reservations
-    env = _child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, *program, *argv], env=env,
                           capture_output=True, text=True, timeout=120, preexec_fn=limit_child)
 
@@ -965,28 +948,10 @@ def test_zoo_stacks_stay_within_the_amplitude_budget(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every command of tools/battery.py pinned by tests/golden/battery.txt, its
-# digest line and, up to 16 KiB, its readable block, on this host, under
-# another OpenBLAS kernel and at numpy's baseline SIMD
-
-def _parse_battery(text):
-    """The battery's rows keyed by command, in the battery's order: [line, *block rows]."""
-    runs, rows = {}, None
-    for row in text.splitlines():
-        if row.startswith(("|", "!")):
-            if rows is None:
-                raise ValueError(f"block row with no command line above it: {row!r}")
-            rows.append(row)
-            continue
-        label = row.split(" ", 3)[3]
-        if label in runs:
-            raise ValueError(f"command {label!r} is in the battery twice")
-        runs[label] = rows = [row]
-    return runs
-
-
-_GOLDEN = _parse_battery((GOLDEN / "battery.txt").read_text())
-
+# every command and library probe of tools/battery.py pinned by
+# tests/golden/battery.txt, its digest line and, up to 16 KiB, its readable
+# block, on this host, under another OpenBLAS kernel and at numpy's baseline
+# SIMD; the tests below it read their entries' rows from the host run
 
 @pytest.mark.parametrize("text, message", [
     ("0 a b ghz --n 3\n| r: 1\n0 a c ghz --n 3\n", "command 'ghz --n 3' is in the battery twice"),
@@ -994,7 +959,13 @@ _GOLDEN = _parse_battery((GOLDEN / "battery.txt").read_text())
 ], ids=["repeated-command", "orphan-block"])
 def test_battery_parser_refuses_a_malformed_golden(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        _parse_battery(text)
+        battery.parse(text)
+
+
+def test_only_the_refusals_exit_nonzero_in_the_golden():
+    # the bare command prints its usage and exits 1 like the refusals
+    nonzero = {label for label, rows in GOLDEN.items() if not rows[0].startswith("0 ")}
+    assert nonzero == {""} | {battery.label(*r) for r in battery.REFUSALS}
 
 
 def _grids(moves):
@@ -1032,61 +1003,32 @@ _BASELINE_SIMD_MAY_MOVE = {
     *_grids({"pure2": (24, 32, 64), "pure4": (13, 24), "pure5": (32, 64), "mixed3": (8, 13, 24),
              "mixed5": (13, 24)}),
 }
-_BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
-@pytest.fixture(scope="module")
-def battery_runs():
-    # each run is a child, as when the battery is run by hand; the three runs go
-    # side by side.  The golden-output tests read the host child's blocks, so
-    # warnings are errors there, as under pytest's filter, and BLAS runs two
-    # threads, not the battery's default one.  numpy only warns when it cannot
-    # disable a feature, so the baseline-SIMD child makes that warning an error
-    kernels = {"host": {"PYTHONWARNINGS": "error", "OPENBLAS_NUM_THREADS": "2"},
-               "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
-               "baseline SIMD": {"NPY_DISABLE_CPU_FEATURES": _BASELINE_SIMD,
-                                 "PYTHONWARNINGS": "error::ImportWarning"}}
-    # a thread per child drains its pipes, since each prints more than a pipe
-    # holds; every child is reaped before the first comparison can fail
-    with ThreadPoolExecutor(len(kernels)) as pool:
-        runs = {name: pool.submit(subprocess.run, [sys.executable, str(BATTERY)],
-                                  env=_child_env(**env), capture_output=True, text=True,
-                                  timeout=300)
-                for name, env in kernels.items()}
-    return {name: (r.result().stdout, r.result().stderr, r.result().returncode)
-            for name, r in runs.items()}
-
-
-@pytest.fixture(scope="module")
-def host_battery(battery_runs):
-    return _parse_battery(battery_runs["host"][0])
+def _first_differences(want, got, count=3):
+    """The first rows where an entry's run differs from its golden, as - and + pairs."""
+    pairs = [(w, g) for w, g in itertools.zip_longest(want, got, fillvalue="(none)") if w != g]
+    return [f"  - {w}\n  + {g}" for w, g in pairs[:count]]
 
 
 def _assert_battery_golden(run, may_move=frozenset()):
-    # exactly the commands on may_move move: a list entry that stopped moving fails too
+    # exactly the entries on may_move move: a list entry that stopped moving fails too
     out, err, code = run
     assert (code, err) == (0, "")
-    runs = _parse_battery(out)
-    assert list(runs) == list(_GOLDEN)  # the same commands in the same order
-    moved = [c for c, rows in _GOLDEN.items() if runs[c] != rows]
+    runs = battery.parse(out)
+    assert list(runs) == list(GOLDEN)  # the same entries in the same order
+    moved = [c for c, rows in GOLDEN.items() if runs[c] != rows]
     unlisted, stale = [c for c in moved if c not in may_move], sorted(may_move - set(moved))
-    assert not unlisted, "moved:\n" + "\n".join(unlisted)
+    assert not unlisted, "moved:\n" + "\n".join(
+        row for c in unlisted for row in [c, *_first_differences(GOLDEN[c], runs[c])])
     assert not stale, "listed as moving, but did not move:\n" + "\n".join(stale)
-
-
-def _assert_pinned(host_battery, *argv):
-    # the command's digest line and readable block from the host run, against the golden
-    label = " ".join(argv)
-    assert _GOLDEN[label][0].startswith("0 ")  # exit code 0
-    assert host_battery[label] == _GOLDEN[label]
 
 
 def test_battery_prints_its_golden(battery_runs):
     _assert_battery_golden(battery_runs["host"])
 
 
-def test_json_goldens_hold_under_another_blas_kernel(battery_runs):
-    # every CLI golden is a battery block or line
+def test_battery_holds_under_another_blas_kernel(battery_runs):
     _assert_battery_golden(battery_runs["Prescott"], _PRESCOTT_MAY_MOVE)
 
 
@@ -1099,67 +1041,50 @@ def test_battery_holds_at_numpy_baseline_simd(battery_runs):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("case", sorted(battery.GOLDEN_CASES))
-def test_sweep_zoo_golden_output(case, fmt, host_battery):
-    _assert_pinned(host_battery, *battery.GOLDEN_CASES[case], "--format", fmt)
+def test_sweep_zoo_golden_output(case, fmt, pinned):
+    pinned(*battery.GOLDEN_CASES[case], "--format", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("case", sorted(battery.GOLDEN_KETS))
-def test_analyze_ket_golden_output(case, fmt, host_battery):
-    _assert_pinned(host_battery, "analyze", "--ket", battery.GOLDEN_KETS[case], "--details",
-                   "--format", fmt)
+def test_analyze_ket_golden_output(case, fmt, pinned):
+    pinned("analyze", "--ket", battery.GOLDEN_KETS[case], "--details", "--format", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("case", sorted(battery.LARGE_KETS))
-def test_analyze_large_ket_golden_output(case, fmt, host_battery):
-    _assert_pinned(host_battery, "analyze", "--ket", battery.LARGE_KETS[case], "--format", fmt)
+def test_analyze_large_ket_golden_output(case, fmt, pinned):
+    pinned("analyze", "--ket", battery.LARGE_KETS[case], "--format", fmt)
 
 
 @pytest.mark.parametrize("case", sorted(battery.DETAILS_CASES))
-def test_analyze_details_digest(case, host_battery):
-    _assert_pinned(host_battery, "analyze", *battery.DETAILS_CASES[case], "--details",
-                   "--format", "json")
+def test_analyze_details_digest(case, pinned):
+    pinned("analyze", *battery.DETAILS_CASES[case], "--details", "--format", "json")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(battery.ZOO_CASES))
-def test_zoo_digest(case, fmt, host_battery):
-    _assert_pinned(host_battery, "zoo", *battery.ZOO_CASES[case], "--format", fmt)
+def test_zoo_digest(case, fmt, pinned):
+    pinned("zoo", *battery.ZOO_CASES[case], "--format", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("case", sorted(battery.ORACLE_CASES))
-def test_oracle_golden_output(case, fmt, host_battery):
-    _assert_pinned(host_battery, *battery.ORACLE_CASES[case], "--format", fmt)
+def test_oracle_golden_output(case, fmt, pinned):
+    pinned(*battery.ORACLE_CASES[case], "--format", fmt)
 
 
 @pytest.mark.parametrize("name", ["pure4", "dens3"])
-def test_analyze_file_details_golden_output(name, host_battery):
-    _assert_pinned(host_battery, "analyze", "--input", f"{name}.json", "--details",
-                   "--format", "json")
+def test_analyze_file_details_golden_output(name, pinned):
+    pinned("analyze", "--input", f"{name}.json", "--details", "--format", "json")
 
 
-# ---------------------------------------------------------------------------
-# wire format pinned byte for byte: the [re, im] pairs of state_to_json, the
-# terms of render_ket
-
-_WIRE_STATES = {
-    **{f"pure{n}": random_pure_state(n, np.random.default_rng((23, n))) for n in range(1, 5)},
-    **{f"density{n}": random_density_matrix(n, np.random.default_rng((29, n)))
-       for n in range(1, 4)},
-    "signed-zeros": PureState(2, [complex(0.6, -0.0), complex(-0.0, 0.0),
-                                  complex(-0.0, -0.0), complex(-0.0, -0.8)]),
-}
+@pytest.mark.parametrize("name", sorted(battery.WIRE_STATES))
+def test_state_to_json_golden_output(name, pinned):
+    pinned("wire", name)
 
 
-@pytest.mark.parametrize("name", sorted(_WIRE_STATES))
-def test_state_to_json_golden_output(name):
-    golden = json.loads((GOLDEN / "wire.json").read_text())
-    assert json.dumps(state_to_json(_WIRE_STATES[name])) == golden[f"json {name}"]
-
-
-@pytest.mark.parametrize("name", sorted(n for n in _WIRE_STATES if not n.startswith("density")))
-def test_render_ket_golden_output(name):
-    golden = json.loads((GOLDEN / "wire.json").read_text())
-    assert render_ket(_WIRE_STATES[name]) == golden[f"ket {name}"]
+@pytest.mark.parametrize("name", sorted(n for n in battery.WIRE_STATES
+                                        if not n.startswith("density")))
+def test_render_ket_golden_output(name, pinned):
+    pinned("wire", name)

@@ -1,26 +1,13 @@
 """Every demo script runs to completion against the source tree and prints its pinned output."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from conftest import battery
+
+DEMOS = sorted(battery.DEMOS.glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_output_matches_golden(demo):
-    """Each demo prints the pinned text and raises no warning (run under ``-W error``)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    golden = json.loads((ROOT / "tests" / "golden" / "demos.json").read_text())
-    assert proc.stdout == golden[demo.name]
+def test_demo_output_matches_golden(demo, pinned):
+    """Each demo prints the pinned text and raises no warning (the battery's host run)."""
+    pinned("demo", demo.name)

@@ -1,9 +1,7 @@
 import dataclasses
-import json
 import logging
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +40,8 @@ from rotbell.states import (
     tensor_product,
 )
 from rotbell.witness import classify
+
+from conftest import battery
 
 
 # ---------------------------------------------------------------------------
@@ -164,30 +164,13 @@ def test_library_and_cli_share_one_grid_budget():
     assert GridSearchConfig() == cli_mod._ORACLE_CONFIG == GridSearchConfig(24, 3, 2_000_000)
 
 
-# value and setting of the grid search pinned bit for bit, from the floor of 8
-# points per axis up to 64 points and 10^7 evaluations; null marks a refusal
-_GRID_CONFIGS = [(8, 0, 512), (13, 1, 100_000), (24, 3, 2_000_000), (32, 3, 4_000_000),
-                 (64, 3, 10_000_000)]
-
-
-def _grid_state(name):
-    kind, n = name[:-1], int(name[-1])
-    if kind == "pure":
-        return random_pure_state(n, np.random.default_rng((31, n)))
-    return random_density_matrix(n, np.random.default_rng((37, n)))
-
-
-@pytest.mark.parametrize("config", _GRID_CONFIGS, ids=lambda c: "-".join(map(str, c)))
-@pytest.mark.parametrize("name", [f"{kind}{n}" for kind in ("pure", "mixed") for n in range(1, 6)])
-def test_grid_golden_output(name, config):
-    golden = json.loads((Path(__file__).parent / "golden" / "grid.json").read_text())
-    want = golden[f"{name} {' '.join(map(str, config))}"]
-    if want is None:
-        with pytest.raises(BudgetExceededError):
-            maximize_grid(_grid_state(name), GridSearchConfig(*config))
-        return
-    value, setting = maximize_grid(_grid_state(name), GridSearchConfig(*config))
-    assert {"value": repr(value), "setting": [repr(float(x)) for x in setting]} == want
+# value and setting of the grid search pinned bit for bit by the battery's grid
+# probes, from the floor of 8 points per axis up to 64 points and 10^7
+# evaluations; a refusal is pinned by its message
+@pytest.mark.parametrize("config", battery.GRID_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("name", battery.GRID_STATES)
+def test_grid_golden_output(name, config, pinned):
+    pinned("grid", name, *map(str, config))
 
 
 def _materialised_grid(state, config):
@@ -207,7 +190,7 @@ def _materialised_grid(state, config):
     return best, np.mod(setting, 2.0 * np.pi)
 
 
-@pytest.mark.parametrize("config", _GRID_CONFIGS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("config", battery.GRID_CONFIGS, ids=lambda c: "-".join(map(str, c)))
 @pytest.mark.parametrize("make", [random_pure_state, random_density_matrix])
 def test_blocked_grid_matches_the_materialised_grid(make, config, monkeypatch):
     cfg = GridSearchConfig(*config)

@@ -61,6 +61,7 @@ import os
 import runpy
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -73,14 +74,8 @@ import numpy as np  # noqa: E402
 from rotbell.cli import main  # noqa: E402
 from rotbell.oracle import BudgetExceededError, GridSearchConfig, maximize_grid  # noqa: E402
 from rotbell.separability import sample_partition  # noqa: E402
-from rotbell.states import (  # noqa: E402
-    DensityMatrix,
-    PureState,
-    random_density_matrix,
-    random_pure_state,
-    render_ket,
-    state_to_json,
-)
+from rotbell.states import (DensityMatrix, PureState, random_density_matrix,  # noqa: E402
+                            random_pure_state, render_ket, state_to_json)
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -188,6 +183,41 @@ FILES = {
 }
 
 
+# refusals: exit 1 and one error line, or a usage error
+REFUSALS = [
+    (["nosuch"], None),
+    (["analyze"], None),
+    (["analyze", "--ket", GHZ3, "--input", "pure4.json"], None),
+    (["analyze", "--ket", "|012>"], None),
+    (["analyze", "--ket", "0*|00>"], None),
+    (["analyze", "--ket", "1.7e308|0>+1.7e308|1>", "--format", "json"], None),
+    (["analyze", "--ket", "|" + "0" * 64 + ">"], None),
+    (["analyze", "--ket", "|" + "0" * 40 + ">", "--oracle"], None),
+    (["analyze", "--input", "missing.json"], None),
+    (["analyze", "--input", "broken.json"], None),
+    (["analyze", "--input", "unnormalised.json"], None),
+    (["analyze", "--input", "deep.json"], None),
+    (["analyze", "--input", "deep-objects.json"], None),
+    (["analyze", "--input", "-"], FILES["deep.json"]),
+    (["sweep", "--input", "deep.json"], None),
+    (["sweep", "--input", "-"], FILES["deep-objects.json"]),
+    (["sweep", "--ket", GHZ3, "--vmin", "0.8", "--vmax", "0.2"], None),
+    (["sweep", "--ket", GHZ3, "--vmax", "1.5"], None),
+    (["sweep", "--ket", GHZ3, "--steps", "1"], None),
+    (["sweep", "--ket", GHZ3, "--steps", "10002"], None),
+    (["ghz", "--n", "0"], None),
+    (["ghz", "--n", "64"], None),
+    (["ghz", "--n", "40", "--oracle"], None),
+    (["zoo", "--nmin", "0"], None),
+    (["zoo", "--nmin", "3", "--nmax", "2"], None),
+    (["zoo", "--samples", "-1"], None),
+    (["zoo", "--seed", "-1"], None),
+    (["zoo", "--nmin", "27", "--nmax", "27", "--samples", "1"], None),
+    (["verify", "--seed", "-1"], None),
+    (["verify", "--format", "xml"], None),
+]
+
+
 def commands():
     """The fixed battery: (argv, stdin text or None)."""
     runs = [([], None), (["--help"], None)]
@@ -221,63 +251,29 @@ def commands():
         (["sweep", "--input", "haar-pure-n10.json", "--steps", "10001"], None),  # across chunks
         (["sweep", "--ket", UNDERFLOW, "--vmin", "0", "--vmax", "1e-123", "--steps", "5"], None),
     ]
-    runs += [  # refusals: exit 1 and one error line, or a usage error
-        (["nosuch"], None),
-        (["analyze"], None),
-        (["analyze", "--ket", GHZ3, "--input", "pure4.json"], None),
-        (["analyze", "--ket", "|012>"], None),
-        (["analyze", "--ket", "0*|00>"], None),
-        (["analyze", "--ket", "1.7e308|0>+1.7e308|1>", "--format", "json"], None),
-        (["analyze", "--ket", "|" + "0" * 64 + ">"], None),
-        (["analyze", "--ket", "|" + "0" * 40 + ">", "--oracle"], None),
-        (["analyze", "--input", "missing.json"], None),
-        (["analyze", "--input", "broken.json"], None),
-        (["analyze", "--input", "unnormalised.json"], None),
-        (["analyze", "--input", "deep.json"], None),
-        (["analyze", "--input", "deep-objects.json"], None),
-        (["analyze", "--input", "-"], FILES["deep.json"]),
-        (["sweep", "--input", "deep.json"], None),
-        (["sweep", "--input", "-"], FILES["deep-objects.json"]),
-        (["sweep", "--ket", GHZ3, "--vmin", "0.8", "--vmax", "0.2"], None),
-        (["sweep", "--ket", GHZ3, "--vmax", "1.5"], None),
-        (["sweep", "--ket", GHZ3, "--steps", "1"], None),
-        (["sweep", "--ket", GHZ3, "--steps", "10002"], None),
-        (["ghz", "--n", "0"], None),
-        (["ghz", "--n", "64"], None),
-        (["ghz", "--n", "40", "--oracle"], None),
-        (["zoo", "--nmin", "0"], None),
-        (["zoo", "--nmin", "3", "--nmax", "2"], None),
-        (["zoo", "--samples", "-1"], None),
-        (["zoo", "--seed", "-1"], None),
-        (["zoo", "--nmin", "27", "--nmax", "27", "--samples", "1"], None),
-        (["verify", "--seed", "-1"], None),
-        (["verify", "--format", "xml"], None),
-    ]
+    runs += REFUSALS
     return runs
 
 
 # grid searches from the floor of 8 points per axis up to 64 points and 10^7
-# evaluations, as (points_per_axis, refinement_rounds, max_evaluations)
+# evaluations, as (points_per_axis, refinement_rounds, max_evaluations), on
+# seeded pure and mixed states of 1 to 5 qubits
 GRID_CONFIGS = [(8, 0, 512), (13, 1, 100_000), (24, 3, 2_000_000), (32, 3, 4_000_000),
                 (64, 3, 10_000_000)]
-
-
-def _grid_state(name):
-    kind, n = name[:-1], int(name[-1])
-    if kind == "pure":
-        return random_pure_state(n, np.random.default_rng((31, n)))
-    return random_density_matrix(n, np.random.default_rng((37, n)))
+GRID_STATES = [f"{kind}{n}" for kind in ("pure", "mixed") for n in range(1, 6)]
 
 
 def _grid(name, config):
+    make, seed = {"pure": (random_pure_state, 31), "mixed": (random_density_matrix, 37)}[name[:-1]]
+    n = int(name[-1])
     try:
-        value, setting = maximize_grid(_grid_state(name), GridSearchConfig(*config))
+        value, setting = maximize_grid(make(n, np.random.default_rng((seed, n))),
+                                       GridSearchConfig(*config))
     except BudgetExceededError as exc:
         print(f"BudgetExceededError: {exc}")
-        return 0
-    print("value", repr(value))
-    print("setting", *(repr(float(x)) for x in setting))
-    return 0
+    else:
+        print("value", repr(value))
+        print("setting", *map(repr, setting.tolist()))
 
 
 # the wire format: the [re, im] pairs of state_to_json and the terms of render_ket
@@ -294,7 +290,6 @@ def _wire(state):
     print(json.dumps(state_to_json(state)))
     if isinstance(state, PureState):
         print(render_ket(state))
-    return 0
 
 
 def _partitions(n, k, draws=40):
@@ -302,27 +297,22 @@ def _partitions(n, k, draws=40):
     rng = np.random.default_rng((n, k))
     for _ in range(draws):
         print("|".join(",".join(map(str, b)) for b in sample_partition(n, k, rng).blocks))
-    return 0
 
 
 def _demo(path):
     runpy.run_path(str(path), run_name="__main__")
-    return 0
 
 
 def probes():
-    """The library's pins after the commands: (label, call that prints them and returns 0)."""
-    runs = [(f"grid {name} {' '.join(map(str, config))}",
-             lambda name=name, config=config: _grid(name, config))
-            for name in (f"{kind}{n}" for kind in ("pure", "mixed") for n in range(1, 6))
-            for config in GRID_CONFIGS]
-    runs += [(f"wire {name}", lambda state=state: _wire(state))
-             for name, state in WIRE_STATES.items()]
-    runs += [(f"partitions n{n} k{k}", lambda n=n, k=k: _partitions(n, k))
-             for n in range(1, 9) for k in range(1, n + 1)]
-    runs += [(f"demo {path.name}", lambda path=path: _demo(path))
-             for path in sorted(DEMOS.glob("*.py"))]
-    return runs
+    """The library's pins after the commands: (label, call that prints them)."""
+    return [
+        *((f"grid {name} {' '.join(map(str, c))}", partial(_grid, name, c))
+          for name in GRID_STATES for c in GRID_CONFIGS),
+        *((f"wire {name}", partial(_wire, state)) for name, state in WIRE_STATES.items()),
+        *((f"partitions n{n} k{k}", partial(_partitions, n, k))
+          for n in range(1, 9) for k in range(1, n + 1)),
+        *((f"demo {path.name}", partial(_demo, path)) for path in sorted(DEMOS.glob("*.py"))),
+    ]
 
 
 def _sha(text):
@@ -366,6 +356,22 @@ def _pin(name, call, stdin=None):
     return [f"{code} {_sha(out)} {_sha(err)} {name}", *_block(out, err)]
 
 
+def parse(text):
+    """The rows of a battery output keyed by label, in its order: [line, *block rows]."""
+    runs, rows = {}, None
+    for row in text.splitlines():
+        if row.startswith(("|", "!")):
+            if rows is None:
+                raise ValueError(f"block row with no command line above it: {row!r}")
+            rows.append(row)
+            continue
+        name = row.split(" ", 3)[3]
+        if name in runs:
+            raise ValueError(f"command {name!r} is in the battery twice")
+        runs[name] = rows = [row]
+    return runs
+
+
 def battery():
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
@@ -376,8 +382,8 @@ def battery():
                 print(f"0 {_sha(text)} {_sha('')} file {name}", flush=True)
             for argv, stdin in commands():
                 print(*_pin(label(argv, stdin), lambda: main(argv), stdin), sep="\n", flush=True)
-            for name, call in probes():
-                print(*_pin(name, call), sep="\n", flush=True)
+            for name, call in probes():  # a probe returns None where main returns its code
+                print(*_pin(name, lambda: call() or 0), sep="\n", flush=True)
         finally:
             os.chdir(here)
 
