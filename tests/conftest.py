@@ -14,7 +14,6 @@ battery = importlib.util.module_from_spec(_spec)  # its case tables name the gol
 _spec.loader.exec_module(battery)
 # every CLI command and library probe of tools/battery.py, pinned by one golden
 GOLDEN = battery.parse((ROOT / "tests" / "golden" / "battery.txt").read_text())
-BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 ACCEPTANCE_LINES = []
 
@@ -43,7 +42,7 @@ def battery_runs():
     # child makes that warning an error
     kernels = {"host": {"PYTHONWARNINGS": "error", "OPENBLAS_NUM_THREADS": "2"},
                "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
-               "baseline SIMD": {"NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD,
+               "baseline SIMD": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
                                  "PYTHONWARNINGS": "error::ImportWarning"}}
     # a thread per child drains its pipes, since each prints more than a pipe
     # holds; every child is reaped before the first comparison can fail

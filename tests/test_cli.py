@@ -1006,9 +1006,10 @@ _BASELINE_SIMD_MAY_MOVE = {
 
 
 def _first_differences(want, got, count=3):
-    """The first rows where an entry's run differs from its golden, as - and + pairs."""
-    pairs = [(w, g) for w, g in itertools.zip_longest(want, got, fillvalue="(none)") if w != g]
-    return [f"  - {w}\n  + {g}" for w, g in pairs[:count]]
+    """The first block rows where a run differs from its golden, else the lines, as - and +."""
+    rows = [(w, g) for w, g in itertools.zip_longest(want[1:], got[1:], fillvalue="(none)")
+            if w != g] or [(want[0], got[0])]
+    return [f"  - {w}\n  + {g}" for w, g in rows[:count]]
 
 
 def _assert_battery_golden(run, may_move=frozenset()):
